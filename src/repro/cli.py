@@ -86,7 +86,6 @@ from repro.experiments import (
     run_study_shard,
 )
 from repro.ingest import (
-    ChunkArenaRing,
     ChunkJournal,
     DeviceFleet,
     FleetConfig,
@@ -847,19 +846,13 @@ def _cmd_cache_stats(args) -> int:
 
 
 def _render_ingest_stats() -> None:
-    """Stream a small fleet through the zero-copy ingest plane (arena
-    ring + group-commit iovec journal) and report its counters: the
-    capacity-planning numbers for the descriptor transport."""
+    """Stream a small fleet through the ingest plane (plain chunks into
+    a group-commit iovec journal) and report its counters: the
+    capacity-planning numbers for durable ingest."""
     import tempfile
 
     fleet = DeviceFleet(FleetConfig(n_devices=3, duration_s=6.0,
                                     chunk_s=2.0, seed=2))
-    # Utilization snapshot: publish the fleet into a standalone ring
-    # and read per-session fill before the executor releases anything.
-    with ChunkArenaRing(size_hint=fleet.session_nbytes) as ring:
-        for chunk in fleet:
-            ring.publish(chunk)
-        utilization = ring.session_utilization()
     reset_ingest_stats()
     with tempfile.TemporaryDirectory() as tmp:
         try:
@@ -868,26 +861,15 @@ def _render_ingest_stats() -> None:
                 StreamingExecutor(n_workers=1, preview=False,
                                   journal=journal).run(fleet)
         except ReproError as exc:         # never block the report
-            print(f"Zero-copy ingest plane: unavailable ({exc})")
+            print(f"Ingest plane: unavailable ({exc})")
             return
     stats = ingest_stats()
-    total = stats.descriptor_chunks + stats.object_chunks
-    print(f"Zero-copy ingest plane ({fleet.config.n_devices} devices "
-          f"through a group-commit journal):")
-    print(f"  {stats.descriptor_chunks}/{total} descriptor chunks | "
-          f"{stats.bytes_published / 1024:.1f} KiB published | "
-          f"{stats.bytes_copied} B copied on the hot path")
-    print(f"  arena: {stats.arena_blocks} block(s), "
-          f"{stats.arena_bytes_used / 1024:.1f} / "
-          f"{stats.arena_bytes_reserved / 1024:.1f} KiB used "
-          f"({stats.arena_utilization * 100:.1f} %), "
-          f"{stats.arena_sessions_released} session(s) released")
-    for sid in sorted(utilization):
-        print(f"    session {sid}: "
-              f"{utilization[sid] * 100:5.1f} % of its ring")
+    print(f"Ingest plane ({fleet.config.n_devices} devices through a "
+          f"group-commit journal):")
     print(f"  journal: {stats.journal_records} records, "
           f"{stats.journal_bytes_written / 1024:.1f} KiB | "
-          f"group commit: {stats.group_flushes} flush(es), "
+          f"{stats.bytes_copied} B copied on the hot path")
+    print(f"  group commit: {stats.group_flushes} flush(es), "
           f"{stats.group_fsyncs} fsync(s)")
     _render_serve_stats()
 

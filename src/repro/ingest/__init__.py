@@ -24,31 +24,20 @@ chunk as a CRC-framed record before analysis sees it, and a
 after a crash — finalizing completed sessions bit-identically to the
 interrupted run and resuming open ones when their source reconnects.
 
-Transport is zero-copy by default: the producer publishes each chunk
-once into a per-session :class:`~repro.ingest.chunks.ChunkArenaRing`
-and ships a :class:`~repro.ingest.chunks.ChunkDescriptor` through the
-queue; the journal writes the same shared bytes through its iovec
-codec; :mod:`repro.ingest.stats` counts every byte the plane publishes
-or copies (the hot path's ``bytes_copied`` is asserted zero).  The
-historical object transport survives as the ``"reference"`` ingest
-backend (:func:`~repro.ingest.chunks.use_ingest_backend`), the oracle
-the parity sweep pins the arena plane against.
+Chunks cross the queue as the plain
+:class:`~repro.ingest.chunks.RecordingChunk` objects the source
+yielded — the one transport live ingest, recovery replay and
+``repro serve`` share.  The journal writes their arrays through its
+copy-free iovec codec, and :mod:`repro.ingest.stats` counts every byte
+the plane copies (the hot path's ``bytes_copied`` is asserted zero).
 """
 
 from repro.ingest.chunks import (
-    ChunkArenaRing,
-    ChunkDescriptor,
-    INGEST_BACKENDS,
     RecordingChunk,
     RecordingSource,
     SessionAssembler,
     SessionSource,
-    chunk_from_descriptor,
     chunk_recording,
-    ingest_backend,
-    publish_chunk,
-    set_ingest_backend,
-    use_ingest_backend,
 )
 from repro.ingest.fleet import (
     DeviceFleet,
@@ -81,9 +70,6 @@ from repro.ingest.workqueue import BoundedWorkQueue, QueueStats
 __all__ = [
     "RecordingChunk", "SessionSource", "RecordingSource",
     "SessionAssembler", "chunk_recording",
-    "ChunkDescriptor", "ChunkArenaRing", "publish_chunk",
-    "chunk_from_descriptor", "INGEST_BACKENDS", "set_ingest_backend",
-    "ingest_backend", "use_ingest_backend",
     "IngestStats", "ingest_stats", "reset_ingest_stats",
     "DeviceFleet", "FleetConfig", "SimulatedDevice", "SessionSchedule",
     "BoundedWorkQueue", "QueueStats",

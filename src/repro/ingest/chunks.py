@@ -16,42 +16,24 @@ path.
 one materialized recording, and :class:`~repro.ingest.fleet.DeviceFleet`
 interleaves many simulated devices.
 
-The zero-copy transport plane mirrors PR 5's recording pair one layer
-upstream: :func:`publish_chunk` writes a chunk's arrays **once** into a
-:class:`ChunkArenaRing` (per-session shared-memory blocks with bump
-allocation) and returns a tiny :class:`ChunkDescriptor`; the work
-queue's byte backpressure reads the descriptor's ``nbytes``; the drain
-loop resolves it back to read-only views via
-:func:`chunk_from_descriptor`; the journal's iovec codec writes those
-same bytes to disk; and the ring releases a session's blocks the
-moment its trailer is finalized.  ``set_ingest_backend("reference")``
-keeps the historical object-mode transport as the oracle the parity
-sweep pins the arena plane against — the same swappable-backend
-pattern as PRs 2/5/6.
+Chunks travel as these plain objects end to end: producer, bounded
+work queue, journal codec, causal previewer and assembler all read the
+same arrays, and the journal's iovec codec writes them to disk without
+an intermediate copy.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Protocol, \
-    runtime_checkable
+from typing import Iterator, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-from repro.core.shm import ALIGNMENT, ShmArena, aligned_nbytes, \
-    attach_view
 from repro.errors import ConfigurationError, SignalError
-from repro.ingest.stats import ingest_stats
 from repro.io.records import Recording
 
 __all__ = ["RecordingChunk", "SessionSource", "RecordingSource",
-           "SessionAssembler", "chunk_recording",
-           "ChunkDescriptor", "ChunkArenaRing", "publish_chunk",
-           "chunk_from_descriptor", "INGEST_BACKENDS",
-           "set_ingest_backend", "ingest_backend",
-           "use_ingest_backend"]
+           "SessionAssembler", "chunk_recording"]
 
 
 @dataclass(frozen=True)
@@ -240,313 +222,3 @@ class SessionAssembler:
         }
         return Recording(chunk.fs, signals, dict(chunk.annotations),
                          dict(chunk.meta))
-
-
-# -- the zero-copy transport plane ----------------------------------------
-
-@dataclass(frozen=True)
-class ChunkDescriptor:
-    """A :class:`RecordingChunk` by reference.
-
-    Field-for-field the chunk's coordinates, but ``signals`` and
-    ``annotations`` map names to
-    :class:`~repro.core.shm.ShmDescriptor` slots inside an arena ring
-    instead of arrays — a few dozen bytes on the queue however long
-    the chunk.  ``nbytes`` reports the *described* sample payload
-    (signals only, matching :attr:`RecordingChunk.nbytes`), so the
-    work queue's byte backpressure keeps bounding real buffered
-    memory.
-    """
-
-    session_id: str
-    seq: int
-    fs: float
-    signals: dict
-    start_sample: int
-    is_last: bool = False
-    arrival_s: float = 0.0
-    annotations: dict = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def n_samples(self) -> int:
-        """Samples per channel the descriptor points at."""
-        descriptor = next(iter(self.signals.values()))
-        return int(np.prod(descriptor.shape, dtype=np.int64))
-
-    @property
-    def nbytes(self) -> int:
-        """Sample payload bytes living in the arena for this chunk."""
-        return int(sum(d.nbytes for d in self.signals.values()))
-
-
-#: First-block slack over a source's exact ``session_nbytes`` hint —
-#: covers per-array alignment rounding so a hinted session almost
-#: always fits its first block.
-_HINT_SLACK = 16 * 1024
-
-
-class ChunkArenaRing:
-    """Per-session shared-memory rings device chunks are written into.
-
-    The producer side of the zero-copy contract: :meth:`publish`
-    copies a chunk's arrays **once** into the session's current
-    :class:`~repro.core.shm.ShmArena` block (rolling a new block when
-    the current one fills; the first block is pre-sized from the
-    source's ``session_nbytes`` hint when available) and returns a
-    :class:`ChunkDescriptor`.  Every later consumer — the drain loop,
-    the iovec journal codec, the causal previewer, the assembler —
-    reads those bytes in place.
-
-    :meth:`release_session` frees a session's blocks as soon as its
-    trailer has been submitted for finalize: the blocks are unlinked
-    immediately while views already handed out stay valid (the
-    views-survive-release semantics of :meth:`ShmArena.release`), so a
-    group-commit journal writer still draining that session's iovecs
-    is never racing the release.  Thread-safe: the producer publishes
-    while the drain loop views and releases.
-    """
-
-    #: Default block size; sessions larger than this roll more blocks.
-    DEFAULT_BLOCK_BYTES = 1 << 20
-
-    def __init__(self, block_bytes: int = DEFAULT_BLOCK_BYTES,
-                 size_hint: Optional[Callable[[str], int]] = None
-                 ) -> None:
-        if block_bytes < ALIGNMENT:
-            raise ConfigurationError(
-                f"block_bytes must be >= {ALIGNMENT}")
-        self.block_bytes = int(block_bytes)
-        self._size_hint = size_hint
-        self._sessions: dict = {}      # sid -> [ShmArena, ...]
-        self._blocks: dict = {}        # block name -> ShmArena
-        self._lock = threading.Lock()
-        self._released = False
-
-    # -- internals (caller holds the lock) --------------------------------
-
-    def _arena_for(self, session_id: str, need: int) -> ShmArena:
-        arenas = self._sessions.get(session_id)
-        if arenas:
-            tail = arenas[-1]
-            if tail.nbytes - tail.used >= need:
-                return tail
-        size = max(self.block_bytes, need)
-        if not arenas and self._size_hint is not None:
-            try:
-                hinted = int(self._size_hint(session_id))
-            except Exception:
-                hinted = 0
-            if hinted > 0:
-                # A hinted first block is sized to its session, not
-                # floored at block_bytes: arenas pre-fault every page
-                # they reserve, so a 1 MiB floor would touch several
-                # times the bytes a small session ever writes.
-                size = max(aligned_nbytes(hinted) + _HINT_SLACK, need)
-        arena = ShmArena(size)
-        self._sessions.setdefault(session_id, []).append(arena)
-        self._blocks[arena.name] = arena
-        ingest_stats().add(arena_blocks=1, arena_bytes_reserved=size)
-        return arena
-
-    # -- producer side -----------------------------------------------------
-
-    def _put_locked(self, array, session_id: str):
-        """One array into the ring (caller holds the lock); returns
-        ``(descriptor, aligned bytes consumed)``."""
-        array = np.asarray(array)
-        need = aligned_nbytes(array.nbytes)
-        arena = self._arena_for(session_id, need)
-        return arena.put(array), need
-
-    def put(self, array, session_id: str = "") -> "ShmDescriptor":
-        """Write one array into the session's ring; its descriptor.
-
-        The single producer-side copy of the zero-copy contract (a
-        dtype cast, when needed, is folded into this same write).
-        Raises ``OSError`` when the host cannot grow shared memory —
-        callers degrade to object-mode transport.
-        """
-        with self._lock:
-            if self._released:
-                raise ConfigurationError("arena ring is released")
-            descriptor, need = self._put_locked(array, session_id)
-        ingest_stats().add(arena_bytes_used=need)
-        return descriptor
-
-    def publish(self, chunk: RecordingChunk) -> ChunkDescriptor:
-        """Write one chunk's arrays into its session's ring; the
-        resulting :class:`ChunkDescriptor` (see :func:`publish_chunk`).
-
-        One lock acquisition and one stats credit for the whole chunk
-        — per-array locking showed up in the hot-path profile."""
-        sid = chunk.session_id
-        used = 0
-        signals = {}
-        annotations = {}
-        with self._lock:
-            if self._released:
-                raise ConfigurationError("arena ring is released")
-            for name, data in chunk.signals.items():
-                signals[name], need = self._put_locked(data, sid)
-                used += need
-            for name, data in chunk.annotations.items():
-                annotations[name], need = self._put_locked(data, sid)
-                used += need
-        published = sum(d.nbytes for d in signals.values())
-        published += sum(d.nbytes for d in annotations.values())
-        ingest_stats().add(descriptor_chunks=1,
-                           bytes_published=published,
-                           arena_bytes_used=used)
-        return ChunkDescriptor(
-            session_id=sid, seq=chunk.seq, fs=chunk.fs,
-            signals=signals, start_sample=chunk.start_sample,
-            is_last=chunk.is_last, arrival_s=chunk.arrival_s,
-            annotations=annotations, meta=dict(chunk.meta))
-
-    # -- consumer side -----------------------------------------------------
-
-    def view(self, descriptor) -> np.ndarray:
-        """Read-only zero-copy view of one published array.
-
-        Resolves through the ring's own block handles (same process as
-        the producer — no second mapping); descriptors of blocks this
-        ring does not own fall back to
-        :func:`~repro.core.shm.attach_view` (cross-process)."""
-        with self._lock:
-            arena = self._blocks.get(descriptor.block)
-        if arena is None:
-            return attach_view(descriptor)
-        return arena.view(descriptor)
-
-    def release_session(self, session_id: str) -> None:
-        """Free a session's blocks (after its finalize submission).
-
-        Existing views stay valid — release unlinks the names and
-        drops the ring's handles; the OS frees each block when its
-        last view dies.  No-op for unknown sessions."""
-        with self._lock:
-            arenas = self._sessions.pop(session_id, None)
-            if not arenas:
-                return
-            for arena in arenas:
-                self._blocks.pop(arena.name, None)
-                arena.release()
-        ingest_stats().add(arena_sessions_released=1)
-
-    def release(self) -> None:
-        """Free every block and refuse further puts (idempotent)."""
-        with self._lock:
-            self._released = True
-            arenas = [a for arenas in self._sessions.values()
-                      for a in arenas]
-            released = len(self._sessions)
-            self._sessions.clear()
-            self._blocks.clear()
-            for arena in arenas:
-                arena.release()
-        if released:
-            ingest_stats().add(arena_sessions_released=released)
-
-    def session_utilization(self) -> dict:
-        """Per open session: payload bytes used / bytes reserved."""
-        with self._lock:
-            return {
-                sid: (sum(a.used for a in arenas)
-                      / sum(a.nbytes for a in arenas))
-                for sid, arenas in self._sessions.items() if arenas
-            }
-
-    @property
-    def open_sessions(self) -> tuple:
-        """Ids of sessions currently holding ring blocks."""
-        with self._lock:
-            return tuple(sorted(self._sessions))
-
-    def __enter__(self) -> "ChunkArenaRing":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-
-def publish_chunk(chunk: RecordingChunk,
-                  ring: ChunkArenaRing) -> ChunkDescriptor:
-    """Write a chunk into an arena ring; descriptor by value.
-
-    The chunk-plane twin of
-    :func:`~repro.core.shm.publish_recording`: one producer-side copy
-    into shared memory, then a constant-size descriptor on the queue.
-    """
-    return ring.publish(chunk)
-
-
-def chunk_from_descriptor(descriptor: ChunkDescriptor,
-                          ring: Optional[ChunkArenaRing] = None
-                          ) -> RecordingChunk:
-    """Materialise a chunk as read-only zero-copy views.
-
-    The twin of :func:`~repro.core.shm.recording_from_descriptor`.
-    With ``ring`` the views resolve through the ring's own handles
-    (the in-process drain loop); without it each block is attached via
-    the process-local :func:`~repro.core.shm.attach_view` cache (a
-    consumer in another process).  Views are read-only — a stage
-    mutating its input would corrupt the shared buffer.
-    """
-    resolve = ring.view if ring is not None else attach_view
-    return RecordingChunk(
-        session_id=descriptor.session_id,
-        seq=descriptor.seq,
-        fs=descriptor.fs,
-        signals={name: resolve(d)
-                 for name, d in descriptor.signals.items()},
-        start_sample=descriptor.start_sample,
-        is_last=descriptor.is_last,
-        arrival_s=descriptor.arrival_s,
-        annotations={name: resolve(d)
-                     for name, d in descriptor.annotations.items()},
-        meta=dict(descriptor.meta),
-    )
-
-
-# -- the swappable ingest transport ---------------------------------------
-
-#: ``"arena"`` is the production transport (descriptor chunks through
-#: per-session rings); ``"reference"`` keeps chunks as Python objects —
-#: the historical path, retained as the parity oracle and the bench
-#: baseline.
-INGEST_BACKENDS = ("arena", "reference")
-
-_ingest_backend = "arena"
-
-
-def set_ingest_backend(name: str) -> None:
-    """Select the chunk transport process-wide.
-
-    ``"arena"`` publishes chunks into per-session shared-memory rings
-    and ships descriptors; ``"reference"`` ships the chunk objects
-    themselves — the oracle the zero-copy parity sweep compares
-    against.
-    """
-    global _ingest_backend
-    if name not in INGEST_BACKENDS:
-        raise ConfigurationError(
-            f"unknown ingest backend {name!r}; "
-            f"choose from {INGEST_BACKENDS}")
-    _ingest_backend = name
-
-
-def ingest_backend() -> str:
-    """The currently selected chunk transport."""
-    return _ingest_backend
-
-
-@contextlib.contextmanager
-def use_ingest_backend(name: str):
-    """Temporarily switch the chunk transport (benches, tests)."""
-    previous = _ingest_backend
-    set_ingest_backend(name)
-    try:
-        yield
-    finally:
-        set_ingest_backend(previous)

@@ -271,23 +271,6 @@ class DeviceFleet:
         self._recordings[session_id] = recording
         return recording
 
-    def session_nbytes(self, session_id: str) -> int:
-        """Aligned arena bytes one session's chunks will publish.
-
-        The pre-sizing hint a :class:`~repro.ingest.chunks.ChunkArenaRing`
-        asks sources for: with it a session's first block holds the
-        whole session, so publishing never rolls mid-stream.  Costs a
-        (memoized) synthesis, which streaming pays anyway.
-        """
-        from repro.core.shm import aligned_nbytes
-
-        recording = self.session_recording(session_id)
-        total = sum(aligned_nbytes(np.asarray(v).nbytes)
-                    for v in recording.signals.values())
-        total += sum(aligned_nbytes(np.asarray(v).nbytes)
-                     for v in recording.annotations.values())
-        return total
-
     def synthesize(self, device: SimulatedDevice) -> Recording:
         """The recording ``device`` streams in its first round (the
         whole-fleet view for a single-round fleet — the historical

@@ -249,14 +249,12 @@ class JournalScan:
         return counts
 
 
-def scan_journal(directory, decoder=None) -> JournalScan:
+def scan_journal(directory) -> JournalScan:
     """Classify every record of a journal directory.
 
     Never raises on damaged content (that is the point of recovery);
     raises :class:`~repro.errors.JournalError` only when ``directory``
-    is not a journal at all.  ``decoder`` is threaded through to
-    :func:`~repro.io.journal_records.scan_segment` (recovery passes an
-    arena-rehydrating one).
+    is not a journal at all.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -282,7 +280,7 @@ def scan_journal(directory, decoder=None) -> JournalScan:
 
     records_per_segment = []
     for position, path in enumerate(segments):
-        segment = scan_segment(path, decoder=decoder)
+        segment = scan_segment(path)
         last = position == len(segments) - 1
         records_per_segment.append(len(segment.entries))
         if last:
@@ -399,16 +397,12 @@ class ChunkJournal:
     max_pending_bytes:
         Group-commit buffer bound; appends block (backpressure) while
         the writer is this many frame bytes behind.
-    scan_decoder:
-        Optional record decoder for the reopen scan (recovery passes
-        an arena-rehydrating one so resume replays stay zero-copy).
     """
 
     def __init__(self, directory, segment_records: Optional[int] = None,
                  fsync: bool = False, durability: str = "strict",
                  codec: str = "iov",
-                 max_pending_bytes: int = 8 << 20,
-                 scan_decoder=None) -> None:
+                 max_pending_bytes: int = 8 << 20) -> None:
         if segment_records is not None and segment_records < 1:
             raise ConfigurationError("segment_records must be >= 1")
         if durability not in DURABILITY_MODES:
@@ -428,7 +422,7 @@ class ChunkJournal:
         self.codec = codec
         self.max_pending_bytes = int(max_pending_bytes)
         self.directory.mkdir(parents=True, exist_ok=True)
-        scan = scan_journal(self.directory, decoder=scan_decoder)
+        scan = scan_journal(self.directory)
         #: The classification this reopen was based on (taken before
         #: the torn-tail repair; callers like ``resume`` reuse it
         #: instead of paying a second full-journal scan).

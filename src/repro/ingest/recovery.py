@@ -46,11 +46,7 @@ from repro.ingest.journal import (
     write_manifest,
 )
 from repro.ingest.streaming import StreamingExecutor
-from repro.io.journal_records import (
-    decode_chunk,
-    decode_chunk_into,
-    scan_segment,
-)
+from repro.io.journal_records import scan_segment
 
 __all__ = ["RecoveryManager", "RecoveryResult", "ReingestReport"]
 
@@ -124,40 +120,11 @@ class RecoveryManager:
     def _executor(self, n_workers: int, finalize_backend: str,
                   preview: bool, journal: Optional[ChunkJournal],
                   max_chunks: Optional[int]) -> StreamingExecutor:
-        # Replay chunks already live in arena slabs when the scan
-        # rehydrated them (see _rehydration) — publishing them into a
-        # second ring would be a gratuitous copy, so the replay
-        # executor ships the view-backed chunk objects directly.
         return StreamingExecutor(
             config=self.config, n_workers=n_workers,
             finalize_backend=finalize_backend, max_chunks=max_chunks,
             preview=preview, cache=self.cache, journal=journal,
-            allow_open=True, ingest_backend="reference")
-
-    def _rehydration(self):
-        """``(ring, decoder)`` for the replay scan.
-
-        Under the ``"arena"`` ingest backend the journal's records are
-        decoded straight into a
-        :class:`~repro.ingest.chunks.ChunkArenaRing` (one write into a
-        shared slab per array, no per-array copies); an OSError from
-        shared memory degrades that record to the copying decoder.
-        ``(None, None)`` under the reference backend — the historical
-        copying replay.
-        """
-        from repro.ingest.chunks import ChunkArenaRing, ingest_backend
-
-        if ingest_backend() != "arena":
-            return None, None
-        ring = ChunkArenaRing()
-
-        def decoder(payload):
-            try:
-                return decode_chunk_into(payload, ring)
-            except OSError:          # /dev/shm exhausted: copy instead
-                return decode_chunk(payload)
-
-        return ring, decoder
+            allow_open=True)
 
     @staticmethod
     def _replay(scan: JournalScan):
@@ -284,18 +251,12 @@ class RecoveryManager:
         mid-append is truncated away (the same healing a reopening
         journal performs).
         """
-        ring, decoder = self._rehydration()
-        try:
-            scan = scan_journal(self.directory, decoder=decoder)
-            torn_recovered = repair_torn_tail(scan)
-            executor = self._executor(n_workers, finalize_backend,
-                                      preview, journal=None,
-                                      max_chunks=max_chunks)
-            results = executor.run(self._replay(scan))
-            self._backfill_manifests(scan)
-        finally:
-            if ring is not None:
-                ring.release()
+        scan = scan_journal(self.directory)
+        torn_recovered = repair_torn_tail(scan)
+        executor = self._executor(n_workers, finalize_backend, preview,
+                                  journal=None, max_chunks=max_chunks)
+        results = executor.run(self._replay(scan))
+        self._backfill_manifests(scan)
         return RecoveryResult(
             results=results,
             open_sessions=executor.last_open_sessions,
@@ -324,12 +285,8 @@ class RecoveryManager:
         # The reopening journal scans (and heals) the directory once;
         # its classification is reused for the replay and the result's
         # bookkeeping instead of paying further full-journal scans.
-        # Under the arena backend that one scan also rehydrates every
-        # replayed record straight into shared slabs.
-        ring, decoder = self._rehydration()
         journal = ChunkJournal(self.directory,
-                               segment_records=segment_records,
-                               scan_decoder=decoder)
+                               segment_records=segment_records)
         scan = journal.last_scan
         counts = scan.session_counts
         completed = set(scan.complete)
@@ -352,8 +309,6 @@ class RecoveryManager:
             results = executor.run(stream())
         finally:
             journal.close()
-            if ring is not None:
-                ring.release()
         # Sessions complete on disk before the crash replay as no-op
         # appends (no trailer write, so no manifest): backfill from
         # the scan.  Newly completed sessions wrote theirs live.

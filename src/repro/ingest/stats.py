@@ -1,23 +1,23 @@
-"""Process-wide counters of the zero-copy ingest data plane.
+"""Process-wide counters of the ingest plane.
 
-The PR 5 :class:`~repro.core.executor.IpcStats` accounting made the
+The :class:`~repro.core.executor.IpcStats` accounting made the
 process backend's pipe traffic falsifiable: tests assert the
 descriptor collapse instead of trusting it.  This module is the same
 idea for the ingest path.  Every layer of the chunk plane credits its
 traffic here:
 
-* the arena ring counts **published** bytes (the single producer
-  write) and the blocks/bytes it reserved;
 * the journal codec counts every **intermediate byte it
   materializes** — the quantity the copy-free iovec path drives to
-  zero and the object-mode reference path pays three to four times
+  zero and the ``"bytes"`` reference codec pays three to four times
   per record;
 * the group-commit writer counts its flush windows and fsyncs, so the
-  "one fsync per window" contract is a number, not a comment.
+  "one fsync per window" contract is a number, not a comment;
+* the serve daemon counts its session lifecycles, sheds, retries and
+  deadline hits.
 
-``bytes_copied`` is therefore the headline: on the arena-backed hot
-path (descriptor queue + iovec journal) it stays **zero** for
-arbitrarily long streams — asserted by the zero-copy tests — while
+``bytes_copied`` is therefore the headline: on the hot path (plain
+chunks through the iovec journal) it stays **zero** for arbitrarily
+long streams — asserted by the zero-copy tests — while
 ``repro cache-stats`` renders the counters for capacity planning.
 
 Counters are process-wide and monotonic (reset via
@@ -37,12 +37,9 @@ class IngestStats:
     """Counters of the ingest data plane (see attribute docs)."""
 
     _FIELDS = (
-        "descriptor_chunks", "object_chunks", "bytes_published",
-        "bytes_copied", "arena_blocks", "arena_bytes_reserved",
-        "arena_bytes_used", "arena_sessions_released",
+        "bytes_copied",
         "journal_records", "journal_bytes_written",
         "group_flushes", "group_fsyncs", "strict_fsyncs",
-        "rehydrated_chunks",
         "serve_sessions_accepted", "serve_sessions_done",
         "serve_sessions_quarantined", "serve_sheds",
         "serve_retries", "serve_deadline_hits", "serve_degradations",
@@ -50,26 +47,10 @@ class IngestStats:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: Chunks that crossed the queue as arena descriptors.
-        self.descriptor_chunks = 0
-        #: Chunks that crossed the queue as Python objects (the
-        #: ``"reference"`` ingest backend, or an arena-less degrade).
-        self.object_chunks = 0
-        #: Sample bytes written into arena rings by ``publish_chunk`` —
-        #: the single producer-side write of the zero-copy contract.
-        self.bytes_published = 0
-        #: Intermediate bytes materialized after publication: codec
-        #: ``tobytes``/join copies, dtype casts, rehydration slabs.
-        #: Zero on the descriptor + iovec hot path.
+        #: Intermediate bytes the journal codec materialized: codec
+        #: ``tobytes``/join copies, dtype casts, decoded replay
+        #: arrays.  Zero on the iovec hot path.
         self.bytes_copied = 0
-        #: Shared-memory blocks allocated by arena rings.
-        self.arena_blocks = 0
-        #: Capacity of those blocks, bytes.
-        self.arena_bytes_reserved = 0
-        #: Bytes actually bump-allocated inside them.
-        self.arena_bytes_used = 0
-        #: Sessions whose ring blocks were released after finalize.
-        self.arena_sessions_released = 0
         #: Records the journal wrote (either codec).
         self.journal_records = 0
         #: Frame bytes the journal put on disk.
@@ -80,8 +61,6 @@ class IngestStats:
         self.group_fsyncs = 0
         #: fsyncs issued by strict-durability appends (one per record).
         self.strict_fsyncs = 0
-        #: Chunks recovery rehydrated straight into arena slabs.
-        self.rehydrated_chunks = 0
         #: Sessions the serve daemon admitted (supervised lifecycles).
         self.serve_sessions_accepted = 0
         #: Supervised sessions finalized to DONE.
@@ -112,14 +91,6 @@ class IngestStats:
         """The counters as a plain dict (stats views and JSON)."""
         with self._lock:
             return {name: getattr(self, name) for name in self._FIELDS}
-
-    @property
-    def arena_utilization(self) -> float:
-        """Used / reserved bytes of all arena blocks (0 when none)."""
-        with self._lock:
-            if self.arena_bytes_reserved == 0:
-                return 0.0
-            return self.arena_bytes_used / self.arena_bytes_reserved
 
 
 _STATS = IngestStats()

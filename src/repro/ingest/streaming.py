@@ -52,16 +52,7 @@ from repro.core.pipeline import BeatToBeatPipeline, PipelineResult
 from repro.core.shm import ShmArena
 from repro.dsp import iir as _iir
 from repro.errors import ConfigurationError
-from repro.ingest.chunks import (
-    ChunkArenaRing,
-    ChunkDescriptor,
-    INGEST_BACKENDS,
-    RecordingChunk,
-    SessionAssembler,
-    chunk_from_descriptor,
-    ingest_backend,
-)
-from repro.ingest.stats import ingest_stats
+from repro.ingest.chunks import SessionAssembler
 from repro.ingest.workqueue import BoundedWorkQueue, QueueStats
 from repro.io.records import Recording
 
@@ -307,17 +298,6 @@ class StreamingExecutor:
         tolerate: the open sessions' chunks are durable on disk and a
         later recovery/resume completes them; their ids are reported
         in :attr:`last_open_sessions`.
-    ingest_backend:
-        Chunk transport for this executor: ``"arena"`` publishes each
-        chunk once into a per-session
-        :class:`~repro.ingest.chunks.ChunkArenaRing` and ships
-        descriptors through the queue (released the moment the
-        session is submitted for finalize), ``"reference"`` ships the
-        chunk objects — bit-identical output, pinned by the parity
-        sweep.  ``None`` (default) follows the process-wide
-        :func:`~repro.ingest.chunks.ingest_backend` selection.  A host
-        that cannot grow shared memory degrades to object transport
-        with a one-time warning.
 
     After :meth:`run`, :attr:`last_queue_stats` holds the queue's
     counters (peak depth/bytes, backpressure events) for capacity
@@ -333,16 +313,9 @@ class StreamingExecutor:
                  preview: bool = True,
                  cache: Optional[FilterDesignCache] = None,
                  journal=None,
-                 allow_open: Optional[bool] = None,
-                 ingest_backend: Optional[str] = None) -> None:
+                 allow_open: Optional[bool] = None) -> None:
         if n_workers < 1:
             raise ConfigurationError("n_workers must be >= 1")
-        if (ingest_backend is not None
-                and ingest_backend not in INGEST_BACKENDS):
-            raise ConfigurationError(
-                f"unknown ingest backend {ingest_backend!r}; "
-                f"choose from {INGEST_BACKENDS}")
-        self.ingest_backend = ingest_backend
         self.config = config
         self.n_workers = int(n_workers)
         self._dispatcher = FinalizeDispatcher(config, finalize_backend,
@@ -362,25 +335,8 @@ class StreamingExecutor:
 
     def _produce(self, source, queue: BoundedWorkQueue,
                  errors: list) -> None:
-        ring = self._ring
         try:
             for chunk in source:
-                if ring is not None:
-                    try:
-                        chunk = ring.publish(chunk)
-                    except OSError:
-                        # The host cannot grow shared memory (/dev/shm
-                        # cap): degrade this run to object transport —
-                        # slower, never wrong.  Chunks already
-                        # published keep resolving through self._ring.
-                        ring = None
-                        warnings.warn(
-                            "shared-memory arena unavailable; ingest "
-                            "degrades to object-mode chunks",
-                            RuntimeWarning, stacklevel=2)
-                        ingest_stats().add(object_chunks=1)
-                else:
-                    ingest_stats().add(object_chunks=1)
                 queue.put(chunk)
         except BaseException as exc:      # propagate through run()
             errors.append(exc)
@@ -400,14 +356,6 @@ class StreamingExecutor:
         queue = BoundedWorkQueue(max_items=self.max_chunks,
                                  max_bytes=self.max_bytes)
         self.last_queue_stats = queue.stats
-        backend = (ingest_backend() if self.ingest_backend is None
-                   else self.ingest_backend)
-        # The ring is created eagerly (allocation happens per publish,
-        # so this cannot fail) and sized per session from the source's
-        # exact byte hint when it offers one.
-        self._ring = (ChunkArenaRing(
-            size_hint=getattr(source, "session_nbytes", None))
-            if backend == "arena" else None)
         errors: list = []
         producer = threading.Thread(
             target=self._produce, args=(source, queue, errors),
@@ -428,14 +376,7 @@ class StreamingExecutor:
                     burst = queue.drain()
                     if not burst:
                         break
-                    for item in burst:
-                        # Descriptor transport: resolve the arena
-                        # views here, once, for journal + preview +
-                        # assembly alike.  Object transport passes
-                        # straight through.
-                        chunk = (chunk_from_descriptor(item, self._ring)
-                                 if isinstance(item, ChunkDescriptor)
-                                 else item)
+                    for chunk in burst:
                         sid = chunk.session_id
                         if self.journal is not None:
                             # Durability first: the chunk must be on
@@ -460,13 +401,6 @@ class StreamingExecutor:
                                 pool, recording)
                             futures[sid] = (future, arena, recording,
                                             chunk.arrival_s)
-                            if self._ring is not None:
-                                # The session left the transport
-                                # plane (its recording is assembled,
-                                # its journal bytes enqueued): free
-                                # its ring blocks now — in-flight
-                                # views survive the release.
-                                self._ring.release_session(sid)
                 results = {}
                 for sid, (future, arena, recording,
                           last_s) in futures.items():
@@ -489,14 +423,10 @@ class StreamingExecutor:
             queue.close()
             producer.join()
             # Release any per-session arenas a failure left behind
-            # (idempotent for the ones already resolved above), and
-            # the transport ring's remaining blocks.
+            # (idempotent for the ones already resolved above).
             for entry in futures.values():
                 if entry[1] is not None:
                     entry[1].release()
-            if self._ring is not None:
-                self._ring.release()
-                self._ring = None
         if errors:
             raise errors[0]
         self.last_open_sessions = assembler.open_sessions

@@ -97,8 +97,8 @@ class BoundedWorkQueue:
     def _size_of(self, item) -> int:
         """Payload bytes one item buffers.
 
-        ``nbytes`` when the item exposes it (chunks, chunk/shm
-        descriptors, ndarrays), else derived from ``(shape, dtype)``
+        ``nbytes`` when the item exposes it (chunks, shm descriptors,
+        ndarrays), else derived from ``(shape, dtype)``
         (bare descriptor tuples).  An item sized neither way counts as
         zero and — when a byte bound is configured — warns once per
         queue: silently unbounded byte backpressure is the historical

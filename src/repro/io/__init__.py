@@ -15,7 +15,6 @@ from repro.io.journal_records import (
     RecordEntry,
     SegmentScan,
     decode_chunk,
-    decode_chunk_into,
     encode_chunk,
     encode_chunk_iov,
     frame_nbytes,
@@ -27,8 +26,8 @@ from repro.io.journal_records import (
 
 __all__ = ["Recording", "save_shard", "load_shard",
            "encode_chunk", "encode_chunk_iov", "decode_chunk",
-           "decode_chunk_into", "frame_record", "frame_record_iov",
-           "payload_crc", "frame_nbytes",
+           "frame_record", "frame_record_iov", "payload_crc",
+           "frame_nbytes",
            "RecordEntry", "SegmentScan", "scan_segment",
            "ArchiveReport", "archive_sessions", "save_archive",
            "load_archive", "rehydrate_session", "read_archive_index"]

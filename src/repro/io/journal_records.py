@@ -43,11 +43,10 @@ Two codec paths share the byte format:
   frame goes to disk through one ``os.writev``.  The concatenation of
   the iovec is bit-identical to the reference frame, pinned by test.
 
-On the read side :func:`decode_chunk_into` rehydrates a payload's
-arrays straight into an arena (one write into the slab, no per-array
-``.copy()``), which is how recovery replays stay on the zero-copy
-plane.  Both paths credit :mod:`repro.ingest.stats` so "zero copies"
-is an asserted number, not a comment.
+On the read side :func:`decode_chunk` rebuilds each chunk with private
+copies of its arrays.  Encoders and decoder alike credit
+:mod:`repro.ingest.stats` so "zero copies" is an asserted number, not
+a comment.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from repro.errors import JournalError
 # the same convention repro.io.shards uses for the experiment types.
 
 __all__ = ["MAGIC", "encode_chunk", "encode_chunk_iov", "decode_chunk",
-           "decode_chunk_into", "frame_record", "frame_record_iov",
+           "frame_record", "frame_record_iov",
            "payload_crc", "frame_nbytes", "RecordEntry", "SegmentScan",
            "scan_segment"]
 
@@ -79,8 +78,8 @@ MAGIC = b"ICGJ"
 
 _FRAME = len(MAGIC) + 4 + 4     # magic | payload_len | crc32
 
-#: The wire dtype.  Arrays already in it (arena views always are)
-#: skip the ``ascontiguousarray`` round-trip on the encode hot path.
+#: The wire dtype.  Arrays already in it (device chunks are) skip the
+#: ``ascontiguousarray`` round-trip on the encode hot path.
 _LE_F8 = np.dtype("<f8")
 
 _U32 = struct.Struct("<I")
@@ -128,8 +127,8 @@ def _payload_parts(chunk):
 
     ``parts`` is the header blob (``bytes``) followed by the chunk's
     arrays as contiguous little-endian float64 ``ndarray``s — still
-    zero-copy views whenever the chunk's arrays already are (arena
-    slices are); ``cast_bytes`` counts the bytes a dtype/contiguity
+    zero-copy views whenever the chunk's arrays already are;
+    ``cast_bytes`` counts the bytes a dtype/contiguity
     conversion had to materialize.  Both encoders join/iterate these
     same parts, which is what makes them bit-identical by
     construction.
@@ -142,7 +141,7 @@ def _payload_parts(chunk):
         for name, data in store.items():
             if (isinstance(data, np.ndarray) and data.dtype == _LE_F8
                     and data.flags.c_contiguous):
-                arr = data            # arena views take this path
+                arr = data
             else:
                 src = np.asarray(data)
                 arr = np.ascontiguousarray(src, dtype="<f8")
@@ -200,8 +199,15 @@ def encode_chunk_iov(chunk) -> list:
     return parts
 
 
-def _decode_arrays(payload, header, offset, make):
+def decode_chunk(payload):
+    """Rebuild the :class:`~repro.ingest.chunks.RecordingChunk` a
+    payload encodes (raises on malformed input — callers gate on the
+    CRC first).  Every array is a private copy."""
+    from repro.ingest.chunks import RecordingChunk
+
+    header, offset = _decode_header(payload)
     signals, annotations = {}, {}
+    copied = 0
     for store, names in (
             (signals, header["signals"]),
             (annotations, header["annotations"])):
@@ -211,14 +217,10 @@ def _decode_arrays(payload, header, offset, make):
             if len(block) != nbytes:
                 raise JournalError("record payload shorter than its "
                                    "declared arrays")
-            store[name] = make(block)
+            store[name] = np.frombuffer(block, dtype="<f8").copy()
             offset += nbytes
-    return signals, annotations
-
-
-def _chunk_from_header(header, signals, annotations):
-    from repro.ingest.chunks import RecordingChunk
-
+            copied += nbytes
+    _credit(bytes_copied=copied)
     return RecordingChunk(
         session_id=header["session_id"],
         seq=int(header["seq"]),
@@ -230,50 +232,6 @@ def _chunk_from_header(header, signals, annotations):
         annotations=annotations,
         meta=dict(header["meta"]),
     )
-
-
-def decode_chunk(payload):
-    """Rebuild the :class:`~repro.ingest.chunks.RecordingChunk` a
-    payload encodes (raises on malformed input — callers gate on the
-    CRC first).  Every array is a private copy."""
-    header, offset = _decode_header(payload)
-    signals, annotations = _decode_arrays(
-        payload, header, offset,
-        lambda block: np.frombuffer(block, dtype="<f8").copy())
-    copied = sum(a.nbytes for a in signals.values())
-    copied += sum(a.nbytes for a in annotations.values())
-    _credit(bytes_copied=copied)
-    return _chunk_from_header(header, signals, annotations)
-
-
-def decode_chunk_into(payload, arena):
-    """Rebuild a chunk with its arrays rehydrated into ``arena``.
-
-    ``arena`` is a :class:`~repro.ingest.chunks.ChunkArenaRing` (its
-    ``put(array, session_id)`` / ``view(descriptor)`` pair; a plain
-    :class:`~repro.core.shm.ShmArena` works too) — each array is
-    written once into a shared-memory slab and returned as a read-only
-    zero-copy view, so a recovery replay stays on the same zero-copy
-    plane live ingest runs on.  Bit-identical to :func:`decode_chunk`
-    (float64 bytes land verbatim), pinned by the recovery tests.
-    """
-    header, offset = _decode_header(payload)
-    session_id = str(header["session_id"])
-
-    def rehydrate(block):
-        source = np.frombuffer(block, dtype="<f8")
-        try:
-            descriptor = arena.put(source, session_id)
-        except TypeError:     # a bare ShmArena: no session routing
-            descriptor = arena.put(source)
-        return arena.view(descriptor)
-
-    signals, annotations = _decode_arrays(payload, header, offset,
-                                          rehydrate)
-    published = sum(a.nbytes for a in signals.values())
-    published += sum(a.nbytes for a in annotations.values())
-    _credit(rehydrated_chunks=1, bytes_published=published)
-    return _chunk_from_header(header, signals, annotations)
 
 
 def _decode_header(payload):
@@ -371,17 +329,12 @@ class SegmentScan:
                 and all(e.error is None for e in self.entries))
 
 
-def scan_segment(path, decoder=None) -> SegmentScan:
+def scan_segment(path) -> SegmentScan:
     """Read every interpretable record of one segment file.
 
     Never raises on damaged content — damage is classified per the
     module taxonomy and reported in the returned :class:`SegmentScan`.
-    ``decoder`` replaces :func:`decode_chunk` for CRC-clean payloads
-    (recovery passes a :func:`decode_chunk_into` closure to rehydrate
-    straight into an arena); payloads reach it as memoryviews over the
-    segment bytes.
     """
-    decoder = decode_chunk if decoder is None else decoder
     path = Path(path)
     data = path.read_bytes()
     view = memoryview(data)
@@ -413,7 +366,7 @@ def scan_segment(path, decoder=None) -> SegmentScan:
                 error="crc mismatch", session_id=sid, seq=seq))
         else:
             try:
-                chunk = decoder(payload)
+                chunk = decode_chunk(payload)
             except Exception as exc:     # malformed despite good CRC
                 sid, seq = _best_effort_identity(payload)
                 entries.append(RecordEntry(

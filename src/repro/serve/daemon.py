@@ -43,6 +43,7 @@ from __future__ import annotations
 import threading
 import time
 import warnings
+from concurrent.futures import FIRST_COMPLETED, Future, wait
 from pathlib import Path
 from typing import Optional
 
@@ -268,6 +269,11 @@ class ServeDaemon:
                         self._state = "draining"
                         queue.close()
                     burst = queue.drain(timeout=self.poll_interval_s)
+                    if not burst and queue.closed and self._pending:
+                        # A closed, empty queue drains at once: block
+                        # on the pending finalizes for up to one tick
+                        # instead of spinning until they land.
+                        self._await_finalizes()
                     for chunk in burst:
                         self._consume(chunk, pool, live=True)
                     # Overload is backlog that survives a whole tick:
@@ -555,6 +561,13 @@ class ServeDaemon:
         record.submitted_monotonic = time.monotonic()
         self._pending[sid] = (future, arena, recording)
         self._crash("submitted", sid)
+
+    def _await_finalizes(self) -> None:
+        futures = [entry[0] for entry in self._pending.values()
+                   if isinstance(entry[0], Future)]
+        if futures:
+            wait(futures, timeout=self.poll_interval_s,
+                 return_when=FIRST_COMPLETED)
 
     def _reap_finalizes(self, pool) -> None:
         for sid in list(self._pending):

@@ -241,28 +241,3 @@ def test_truncated_middle_segment_never_crashes_the_scan(tmp_path,
     # Sessions with records lost to the truncation show sequence gaps
     # and are quarantined; the rest still finalize or stay open.
     assert set(outcome.results).isdisjoint(outcome.damaged)
-
-
-# -- arena rehydration ----------------------------------------------------
-
-
-def test_arena_rehydrated_replay_matches_after_a_torn_tail(tmp_path,
-                                                           fleet,
-                                                           durability):
-    """Recovery replays journal records into arena slabs
-    (`decode_chunk_into`); after a torn tail the rehydrated replay
-    must finalize bit-identically to the copying decoder's replay."""
-    from repro.ingest import ingest_stats, reset_ingest_stats, \
-        use_ingest_backend
-
-    directory = _crash_journaled_run(tmp_path, fleet, 15,
-                                     durability=durability)
-    tear_journal_tail(directory)
-    with use_ingest_backend("reference"):     # copying decoder
-        oracle = RecoveryManager(directory).recover()
-    reset_ingest_stats()
-    with use_ingest_backend("arena"):         # decode_chunk_into
-        outcome = RecoveryManager(directory).recover()
-    assert ingest_stats().rehydrated_chunks > 0
-    assert outcome.torn_tail_recovered is False   # oracle healed it
-    _assert_sessions_identical(outcome.results, oracle.results)

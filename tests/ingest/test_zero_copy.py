@@ -1,8 +1,7 @@
-"""The zero-copy ingest plane: arena rings and descriptor transport,
-the iovec journal codec, group-commit write-through — and the
-hypothesis parity sweep pinning the ``"arena"`` backend bit-identical
-to the object-mode ``"reference"`` oracle over the churning
-acceptance fleet."""
+"""The zero-copy ingest plane: the iovec journal codec, group-commit
+write-through — and the hypothesis parity sweep pinning every worker
+count, durability mode and codec bit-identical to an unjournaled
+single-worker run over the churning acceptance fleet."""
 
 import warnings
 import zlib
@@ -11,33 +10,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.shm import ALIGNMENT
 from repro.errors import ConfigurationError, JournalError
 from repro.ingest import (
     BoundedWorkQueue,
-    ChunkArenaRing,
     ChunkJournal,
     DeviceFleet,
     DURABILITY_MODES,
     FleetConfig,
-    INGEST_BACKENDS,
     JOURNAL_CODECS,
     RecordingChunk,
     StreamingExecutor,
-    chunk_from_descriptor,
     chunk_recording,
-    ingest_backend,
     ingest_stats,
-    publish_chunk,
     reset_ingest_stats,
     scan_journal,
-    set_ingest_backend,
-    use_ingest_backend,
 )
 from repro.ingest.journal import read_manifests
 from repro.io.journal_records import (
     decode_chunk,
-    decode_chunk_into,
     encode_chunk,
     encode_chunk_iov,
     frame_nbytes,
@@ -77,102 +67,6 @@ def _iov_bytes(parts):
     return b"".join(bytes(memoryview(p)) for p in parts)
 
 
-# -- arena rings and descriptor transport --------------------------------
-
-
-def test_publish_roundtrips_a_chunk(chunks):
-    with ChunkArenaRing() as ring:
-        for chunk in chunks:
-            descriptor = publish_chunk(chunk, ring)
-            assert descriptor.session_id == chunk.session_id
-            assert descriptor.seq == chunk.seq
-            assert descriptor.n_samples == chunk.n_samples
-            assert descriptor.nbytes == chunk.nbytes
-            back = chunk_from_descriptor(descriptor, ring)
-            for name in chunk.signals:
-                assert np.array_equal(back.signals[name],
-                                      chunk.signals[name])
-                assert not back.signals[name].flags.writeable
-            for name in chunk.annotations:
-                assert np.array_equal(back.annotations[name],
-                                      chunk.annotations[name])
-            assert back.meta == chunk.meta
-            assert back.is_last == chunk.is_last
-
-
-def test_descriptors_keep_queue_byte_accounting(chunks):
-    """A descriptor is small on the wire but its ``nbytes`` still
-    reports the described payload, so byte backpressure keeps bounding
-    real buffered memory."""
-    with ChunkArenaRing() as ring:
-        descriptor = publish_chunk(chunks[0], ring)
-        queue = BoundedWorkQueue(max_items=None,
-                                 max_bytes=2 * descriptor.nbytes)
-        queue.put(descriptor)
-        assert queue.stats.peak_bytes == chunks[0].nbytes
-
-
-def test_ring_rolls_blocks_and_reports_utilization(chunks):
-    small = max(ALIGNMENT, 4096)
-    with ChunkArenaRing(block_bytes=small) as ring:
-        for chunk in chunks:
-            ring.publish(chunk)
-        assert ring.open_sessions == ("s",)
-        stats = ingest_stats()
-        assert stats.arena_blocks >= len(chunks)
-        utilization = ring.session_utilization()
-        assert 0.0 < utilization["s"] <= 1.0
-        assert stats.arena_bytes_used <= stats.arena_bytes_reserved
-
-
-def test_views_survive_session_release(chunks):
-    ring = ChunkArenaRing()
-    descriptor = ring.publish(chunks[0])
-    view = chunk_from_descriptor(descriptor, ring)
-    ring.release_session("s")
-    assert ring.open_sessions == ()
-    # The unlinked block lives on while the view holds its mapping —
-    # a group-commit writer still draining iovecs is never racing.
-    for name in chunks[0].signals:
-        assert np.array_equal(view.signals[name],
-                              chunks[0].signals[name])
-    ring.release()
-
-
-def test_released_ring_refuses_puts(chunks):
-    ring = ChunkArenaRing()
-    ring.release()
-    with pytest.raises(ConfigurationError):
-        ring.publish(chunks[0])
-    ring.release()                        # idempotent
-
-
-def test_ring_validation():
-    with pytest.raises(ConfigurationError):
-        ChunkArenaRing(block_bytes=ALIGNMENT - 1)
-
-
-def test_size_hint_presizes_the_first_block(recording, chunks):
-    total = sum(v.nbytes for v in recording.signals.values())
-    total += sum(v.nbytes for v in recording.annotations.values())
-    with ChunkArenaRing(block_bytes=4096,
-                        size_hint=lambda sid: total) as ring:
-        for chunk in chunks:
-            ring.publish(chunk)
-        # The hint pre-sizes block one to hold the whole session.
-        assert ingest_stats().arena_blocks == 1
-
-
-def test_backend_toggle_roundtrips():
-    assert ingest_backend() in INGEST_BACKENDS
-    before = ingest_backend()
-    with use_ingest_backend("reference"):
-        assert ingest_backend() == "reference"
-    assert ingest_backend() == before
-    with pytest.raises(ConfigurationError):
-        set_ingest_backend("pigeon")
-
-
 # -- the iovec codec ------------------------------------------------------
 
 
@@ -208,14 +102,14 @@ def test_payload_crc_chains_like_a_single_crc(chunks):
 
 
 def test_codec_roundtrips_noncontiguous_and_readonly_views():
-    """Strided device buffers and read-only arena views must encode
+    """Strided device buffers and read-only views must encode
     through both codecs and decode bit-identically; the iov path folds
     the contiguity cast into its accounted copies."""
     rng = np.random.default_rng(5)
     raw = rng.normal(size=400)
     strided = raw[::2]                    # non-contiguous
     frozen = np.ascontiguousarray(raw[:200])
-    frozen.setflags(write=False)          # read-only (an arena view)
+    frozen.setflags(write=False)          # read-only (a shared view)
     assert not strided.flags["C_CONTIGUOUS"]
     chunk = RecordingChunk("views", 0, 250.0,
                            {"z": strided, "ecg": frozen}, 0,
@@ -230,23 +124,6 @@ def test_codec_roundtrips_noncontiguous_and_readonly_views():
     reset_ingest_stats()
     encode_chunk_iov(chunk)
     assert ingest_stats().bytes_copied == strided.nbytes
-
-
-def test_decode_chunk_into_rehydrates_into_the_arena(chunks):
-    with ChunkArenaRing() as ring:
-        for chunk in chunks:
-            payload = encode_chunk(chunk)
-            copied = decode_chunk(payload)
-            reset_ingest_stats()
-            arena_backed = decode_chunk_into(payload, ring)
-            stats = ingest_stats()
-            assert stats.rehydrated_chunks == 1
-            assert stats.bytes_copied == 0
-            for name in chunk.signals:
-                assert np.array_equal(arena_backed.signals[name],
-                                      copied.signals[name])
-                assert not arena_backed.signals[name].flags.writeable
-            assert arena_backed.meta == copied.meta
 
 
 def test_frame_record_accepts_bytes_or_iovec(chunks):
@@ -405,12 +282,11 @@ def _acceptance_fleet():
     return _CACHE["fleet"]
 
 
-def _reference_results():
-    if "reference" not in _CACHE:
-        with use_ingest_backend("reference"):
-            _CACHE["reference"] = StreamingExecutor(
-                n_workers=1, preview=False).run(_acceptance_fleet())
-    return _CACHE["reference"]
+def _oracle_results():
+    if "oracle" not in _CACHE:
+        _CACHE["oracle"] = StreamingExecutor(
+            n_workers=1, preview=False).run(_acceptance_fleet())
+    return _CACHE["oracle"]
 
 
 def _assert_sessions_identical(got, want):
@@ -427,53 +303,33 @@ def _assert_sessions_identical(got, want):
 
 
 def test_streaming_hot_path_copies_nothing(tmp_path):
-    """The tentpole's bottom line: a journaled arena-backend run
-    publishes each chunk once and copies zero bytes after that."""
+    """A journaled run ships the device's own arrays through queue,
+    assembler and iovec codec and copies zero bytes on the way."""
     fleet = DeviceFleet(FleetConfig(n_devices=3, duration_s=6.0,
                                     chunk_s=2.0, seed=9))
     n_chunks = sum(1 for _ in fleet)
     reset_ingest_stats()
     with ChunkJournal(tmp_path / "j", durability="group",
                       codec="iov") as journal:
-        StreamingExecutor(n_workers=1, preview=False, journal=journal,
-                          ingest_backend="arena").run(fleet)
+        StreamingExecutor(n_workers=1, preview=False,
+                          journal=journal).run(fleet)
     stats = ingest_stats()
     assert stats.bytes_copied == 0
-    assert stats.descriptor_chunks == n_chunks
-    assert stats.object_chunks == 0
     assert stats.journal_records == n_chunks
-    assert stats.arena_sessions_released == len(fleet.session_ids)
-    assert stats.bytes_published == \
-        sum(c.nbytes for c in fleet) + \
-        sum(sum(a.nbytes for a in c.annotations.values())
-            for c in fleet)
-
-
-def test_reference_backend_ships_plain_objects():
-    fleet = DeviceFleet(FleetConfig(n_devices=2, duration_s=4.0,
-                                    chunk_s=2.0, seed=9))
-    n_chunks = sum(1 for _ in fleet)
-    reset_ingest_stats()
-    StreamingExecutor(n_workers=1, preview=False,
-                      ingest_backend="reference").run(fleet)
-    stats = ingest_stats()
-    assert stats.descriptor_chunks == 0
-    assert stats.object_chunks == n_chunks
-    assert stats.arena_blocks == 0
 
 
 def test_executor_rejects_unknown_backend():
     with pytest.raises(ConfigurationError):
-        StreamingExecutor(ingest_backend="pigeon")
+        StreamingExecutor(finalize_backend="pigeon")
 
 
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
-def test_arena_backend_is_bit_identical_to_reference(data):
-    """Property: over the churning acceptance fleet, the arena
-    transport — any worker count, durability mode and codec — produces
-    per-session results bit-identical to object-mode ingest."""
-    reference = _reference_results()
+def test_streaming_is_bit_identical_across_workers_and_journals(data):
+    """Property: over the churning acceptance fleet, any worker count,
+    journaling choice, durability mode and codec produces per-session
+    results bit-identical to an unjournaled single-worker run."""
+    oracle = _oracle_results()
     fleet = _acceptance_fleet()
     n_workers = data.draw(st.integers(min_value=1, max_value=3),
                           label="n_workers")
@@ -486,12 +342,12 @@ def test_arena_backend_is_bit_identical_to_reference(data):
                             codec=codec) if journaled else None)
     try:
         results = StreamingExecutor(
-            n_workers=n_workers, preview=False, journal=journal,
-            ingest_backend="arena").run(fleet)
+            n_workers=n_workers, preview=False,
+            journal=journal).run(fleet)
     finally:
         if journal is not None:
             journal.close()
-    _assert_sessions_identical(results, reference)
+    _assert_sessions_identical(results, oracle)
 
 
 @pytest.fixture(scope="module", autouse=True)

@@ -8,9 +8,11 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.pipeline import BeatToBeatPipeline
 from repro.errors import ConfigurationError, ReproError
 from repro.io import Recording
 from repro.ingest import (
+    BoundedWorkQueue,
     ChunkJournal,
     DeviceFleet,
     FleetConfig,
@@ -305,6 +307,42 @@ def test_graceful_stop_preserves_open_sessions_for_the_next_boot(tmp_path):
     restarted = ServeDaemon(tmp_path, n_workers=1, health=False)
     results = restarted.run_once(chunks)    # device re-sends everything
     _assert_sessions_identical(results, reference)
+
+
+def test_closed_queue_waits_on_finalizes_instead_of_spinning(
+        tmp_path, monkeypatch):
+    """Once every source is exhausted the queue is closed and empty,
+    so ``drain`` returns at once; while a slow finalize is pending the
+    loop must block on it, one poll tick at a time, not spin on
+    ``drain``."""
+    chunks = list(DeviceFleet(FleetConfig(n_devices=1, duration_s=4.0,
+                                          chunk_s=2.0, seed=5)))
+    process = BeatToBeatPipeline.process_recording
+    finalize_s = []
+
+    def slow_process(pipeline, recording):
+        start = time.monotonic()
+        time.sleep(0.5)
+        try:
+            return process(pipeline, recording)
+        finally:
+            finalize_s.append(time.monotonic() - start)
+
+    drain = BoundedWorkQueue.drain
+    drains = [0]
+
+    def counting_drain(queue, timeout=None):
+        drains[0] += 1
+        return drain(queue, timeout)
+
+    monkeypatch.setattr(BeatToBeatPipeline, "process_recording",
+                        slow_process)
+    monkeypatch.setattr(BoundedWorkQueue, "drain", counting_drain)
+    daemon = ServeDaemon(tmp_path, n_workers=2, health=False)
+    results = daemon.run_once(chunks)
+    assert set(results) == {"device-000"}
+    assert len(finalize_s) == 1
+    assert drains[0] <= finalize_s[0] / daemon.poll_interval_s + 5
 
 
 def test_serve_rejects_reentry_and_validates_config(tmp_path):
