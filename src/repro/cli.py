@@ -67,6 +67,7 @@ from repro.core import BeatToBeatPipeline, process_batch
 from repro.core.cache import cache_statistics
 from repro.core.executor import (
     BACKENDS,
+    BATCH_BACKENDS,
     last_ipc_stats,
     persistent_pool_stats,
     process_worker_cache_stats,
@@ -290,16 +291,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="do not bind the status socket")
 
     recover = commands.add_parser(
-        "recover", help="replay a chunk journal after a crash: "
+        "recover", help="recover a chunk journal after a crash: "
                         "finalize completed sessions, report open and "
                         "damaged ones")
     recover.add_argument("journal", help="the journal directory a "
                                          "previous `repro ingest "
                                          "--journal` wrote")
     recover.add_argument("--jobs", type=int, default=1,
-                         help="finalize-pool workers")
-    recover.add_argument("--backend", default="thread", choices=BACKENDS,
-                         help="finalize backend (as in process_batch)")
+                         help="finalize workers (thread/process "
+                              "backends only)")
+    recover.add_argument("--backend", default="cohort",
+                         choices=BATCH_BACKENDS,
+                         help="batch finalize backend (as in "
+                              "process_batch)")
     recover.add_argument("--json", action="store_true",
                          help="machine-readable report: per-session "
                               "verdicts, damage taxonomy counts, bytes "

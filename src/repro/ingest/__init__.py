@@ -20,14 +20,15 @@ streaming results are bit-identical to ``process_batch``.
 Durability rides the same drain loop: a
 :class:`~repro.ingest.journal.ChunkJournal` persists every consumed
 chunk as a CRC-framed record before analysis sees it, and a
-:class:`~repro.ingest.recovery.RecoveryManager` replays the journal
-after a crash — finalizing completed sessions bit-identically to the
-interrupted run and resuming open ones when their source reconnects.
+:class:`~repro.ingest.recovery.RecoveryManager` reads the journal back
+after a crash — finalizing completed sessions as one batch,
+bit-identically to the interrupted run, and resuming open ones when
+their source reconnects.
 
 Chunks cross the queue as the plain
 :class:`~repro.ingest.chunks.RecordingChunk` objects the source
-yielded — the one transport live ingest, recovery replay and
-``repro serve`` share.  The journal writes their arrays through its
+yielded — the one transport live ingest, recovery and ``repro serve``
+share.  The journal writes their arrays through its
 copy-free iovec codec, and :mod:`repro.ingest.stats` counts every byte
 the plane copies (the hot path's ``bytes_copied`` is asserted zero).
 """

@@ -1,4 +1,4 @@
-"""Crash recovery: replay a chunk journal back into the stage graph.
+"""Crash recovery: finalize a chunk journal's sessions after a restart.
 
 A service that journals every consumed chunk can die at any instant
 and lose nothing it had accepted.  :class:`RecoveryManager` is the
@@ -7,15 +7,19 @@ restart path: it scans the journal directory
 complete sessions, open sessions, damaged sessions, torn tail),
 then
 
-* :meth:`recover` replays the journaled chunks through a fresh
-  :class:`~repro.ingest.streaming.StreamingExecutor` — the *same* code
-  path live ingest runs — finalizing every session whose trailer was
-  journaled.  Because chunk transport is lossless and the stage graph
-  is pure, the per-session results are bit-identical to the run the
-  crash interrupted (the recovery property test asserts this for
-  arbitrary crash points and journal segmentations);
+* :meth:`recover` finalizes every session whose trailer was journaled
+  as one offline batch: each session is assembled from its decoded
+  chunks and all of them run through
+  :func:`~repro.core.executor.process_batch` (the cohort tier by
+  default).  The per-session results are bit-identical to the run the
+  crash interrupted because transport is lossless and every batch
+  backend is pinned bit-identical to per-recording
+  ``process_recording`` — the finalize live ingest runs (the recovery
+  property test asserts this for arbitrary crash points and journal
+  segmentations);
 * :meth:`resume` additionally re-attaches a chunk source (a device
-  fleet whose devices reconnect): journaled chunks replay first,
+  fleet whose devices reconnect): journaled chunks replay first
+  through a :class:`~repro.ingest.streaming.StreamingExecutor`,
   already-journaled sequence numbers from the source are skipped, and
   genuinely new chunks are journaled and assembled — so sessions the
   crash (or a dropout) left open complete exactly as if nothing had
@@ -35,6 +39,7 @@ from typing import Optional
 
 from repro.core.cache import FilterDesignCache
 from repro.core.config import PipelineConfig
+from repro.core.executor import process_batch
 from repro.errors import JournalError
 from repro.ingest.journal import (
     ChunkJournal,
@@ -45,16 +50,30 @@ from repro.ingest.journal import (
     scan_journal,
     write_manifest,
 )
-from repro.ingest.streaming import StreamingExecutor
+from repro.ingest.chunks import SessionAssembler
+from repro.ingest.streaming import SessionResult, StreamingExecutor
 from repro.io.journal_records import scan_segment
 
-__all__ = ["RecoveryManager", "RecoveryResult", "ReingestReport"]
+__all__ = ["RecoveryManager", "RecoveryResult", "ReingestReport",
+           "backfill_manifests"]
 
 #: Sidecar directory quarantined records are moved into; never read by
 #: a journal scan (scans only glob the directory's top level).
 QUARANTINE_DIR = ".quarantine"
 
 _REINGEST_TMP_SUFFIX = ".reingest"
+
+
+def backfill_manifests(directory, scan: JournalScan) -> None:
+    """Write the manifests a crash raced past (trailer journaled, but
+    the process died before the manifest rename)."""
+    for sid, chunks in scan.complete.items():
+        if sid not in scan.manifests:
+            trailer = chunks[-1]
+            write_manifest(
+                directory, sid, n_chunks=len(chunks),
+                n_samples=trailer.start_sample + trailer.n_samples,
+                fs=trailer.fs)
 
 
 @dataclass
@@ -101,7 +120,7 @@ class RecoveryManager:
     stage configuration sessions were (and will be) analysed under —
     recovery must run the identical configuration to reproduce the
     interrupted run's bits — and ``cache`` the filter-design cache for
-    thread-backend finalization.
+    cohort- and thread-backend finalization.
     """
 
     def __init__(self, directory,
@@ -117,15 +136,6 @@ class RecoveryManager:
 
     # -- internals --------------------------------------------------------
 
-    def _executor(self, n_workers: int, finalize_backend: str,
-                  preview: bool, journal: Optional[ChunkJournal],
-                  max_chunks: Optional[int]) -> StreamingExecutor:
-        return StreamingExecutor(
-            config=self.config, n_workers=n_workers,
-            finalize_backend=finalize_backend, max_chunks=max_chunks,
-            preview=preview, cache=self.cache, journal=journal,
-            allow_open=True)
-
     @staticmethod
     def _replay(scan: JournalScan):
         """Every good journaled chunk, session-contiguous.
@@ -138,17 +148,6 @@ class RecoveryManager:
             yield from chunks
         for chunks in scan.open.values():
             yield from chunks
-
-    def _backfill_manifests(self, scan: JournalScan) -> None:
-        """Write manifests a crash raced past (trailer journaled, but
-        the process died before the manifest rename)."""
-        for sid, chunks in scan.complete.items():
-            if sid not in scan.manifests:
-                trailer = chunks[-1]
-                write_manifest(
-                    self.directory, sid, n_chunks=len(chunks),
-                    n_samples=trailer.start_sample + trailer.n_samples,
-                    fs=trailer.fs)
 
     # -- quarantine re-ingest ---------------------------------------------
 
@@ -240,10 +239,21 @@ class RecoveryManager:
     # -- the two entry points ---------------------------------------------
 
     def recover(self, n_workers: int = 1,
-                finalize_backend: str = "thread",
-                preview: bool = False,
-                max_chunks: Optional[int] = 64) -> RecoveryResult:
+                finalize_backend: str = "cohort") -> RecoveryResult:
         """Finalize every session the journal holds complete.
+
+        Recovery is an offline batch: each complete session is
+        assembled from its journaled chunks (the assembler's seq and
+        ``start_sample`` contiguity checks run on every chunk, open
+        sessions' included), then all of them finalize in one
+        :func:`~repro.core.executor.process_batch` call.
+        ``finalize_backend`` is any batch backend (``"cohort"``,
+        ``"thread"``, ``"process"``); ``n_workers`` is its ``n_jobs``
+        and has no effect on ``"cohort"``.  Every backend is pinned
+        bit-identical to per-recording ``process_recording``, the
+        finalize live ingest runs, so results match the interrupted
+        run.  The first session in scan order that the pipeline
+        rejects raises its error and aborts the whole recovery.
 
         Open sessions are reported, not dropped — they stay journaled
         for a later :meth:`resume`.  Missing manifests of complete
@@ -253,13 +263,30 @@ class RecoveryManager:
         """
         scan = scan_journal(self.directory)
         torn_recovered = repair_torn_tail(scan)
-        executor = self._executor(n_workers, finalize_backend, preview,
-                                  journal=None, max_chunks=max_chunks)
-        results = executor.run(self._replay(scan))
-        self._backfill_manifests(scan)
+        assembler = SessionAssembler()
+        recordings = []
+        for chunk in self._replay(scan):
+            recording = assembler.add(chunk)
+            if recording is not None:
+                recordings.append(recording)
+        finalized = process_batch(recordings, self.config,
+                                  n_jobs=n_workers, cache=self.cache,
+                                  backend=finalize_backend)
+        # _replay yields complete sessions first, in scan order, so
+        # their recordings line up with scan.complete.
+        results = {
+            sid: SessionResult(
+                session_id=sid, recording=recording, result=result,
+                n_chunks=len(chunks),
+                first_arrival_s=chunks[0].arrival_s,
+                last_arrival_s=chunks[-1].arrival_s)
+            for (sid, chunks), recording, result
+            in zip(scan.complete.items(), recordings, finalized)
+        }
+        backfill_manifests(self.directory, scan)
         return RecoveryResult(
             results=results,
-            open_sessions=executor.last_open_sessions,
+            open_sessions=assembler.open_sessions,
             damaged=dict(scan.damaged),
             n_records=scan.n_records,
             torn_tail_recovered=torn_recovered,
@@ -303,16 +330,18 @@ class RecoveryManager:
                 yield chunk
 
         try:
-            executor = self._executor(n_workers, finalize_backend,
-                                      preview, journal=journal,
-                                      max_chunks=max_chunks)
+            executor = StreamingExecutor(
+                config=self.config, n_workers=n_workers,
+                finalize_backend=finalize_backend, max_chunks=max_chunks,
+                preview=preview, cache=self.cache, journal=journal,
+                allow_open=True)
             results = executor.run(stream())
         finally:
             journal.close()
         # Sessions complete on disk before the crash replay as no-op
         # appends (no trailer write, so no manifest): backfill from
         # the scan.  Newly completed sessions wrote theirs live.
-        self._backfill_manifests(scan)
+        backfill_manifests(self.directory, scan)
         return RecoveryResult(
             results=results,
             open_sessions=executor.last_open_sessions,

@@ -59,7 +59,7 @@ from repro.errors import (
 from repro.ingest.chunks import SessionAssembler
 from repro.ingest.gc import journal_gc
 from repro.ingest.journal import ChunkJournal, DURABILITY_MODES
-from repro.ingest.recovery import RecoveryManager
+from repro.ingest.recovery import RecoveryManager, backfill_manifests
 from repro.ingest.stats import ingest_stats
 from repro.ingest.streaming import FinalizeDispatcher, SessionResult
 from repro.ingest.workqueue import BoundedWorkQueue
@@ -327,9 +327,7 @@ class ServeDaemon:
                 fsync=self.fsync, durability=self.configured_durability)
             scan = self.journal.last_scan
         self._crash("boot-scan", str(self.directory))
-        recovery = RecoveryManager(self.directory, self.config,
-                                   self.cache)
-        recovery._backfill_manifests(scan)
+        backfill_manifests(self.directory, scan)
         for sid, reason in scan.damaged.items():
             self.supervisor.accept(sid)
             self.supervisor.quarantine(

@@ -8,6 +8,8 @@ with an *arbitrary* journal segmentation, recovers (``recover`` +
 run — asserted here as a hypothesis property (mirroring the shard-
 merge property test of the sharding layer)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,8 +43,8 @@ def _acceptance_fleet():
 
 
 def _uninterrupted():
-    """The reference run (computed once; sessions finalize through the
-    same streaming executor the recovery path uses)."""
+    """The reference run (computed once): the live streaming executor
+    over the whole fleet, which recovery must reproduce bit for bit."""
     if "reference" not in _CACHE:
         _CACHE["reference"] = StreamingExecutor(
             n_workers=1, preview=False).run(_acceptance_fleet())
@@ -125,6 +127,73 @@ def _tmp_factory(tmp_path_factory):
     _CACHE["tmp_factory"] = make
     yield
     _CACHE.pop("tmp_factory", None)
+
+
+# -- batch recovery vs the streaming replay oracle ------------------------
+
+
+def _assert_same(got, want, where="results"):
+    """Field-for-field equality, recursing through dicts (in order),
+    sequences and dataclasses; arrays must match dtype and bits."""
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want), where
+        for f in dataclasses.fields(want):
+            _assert_same(getattr(got, f.name), getattr(want, f.name),
+                         f"{where}.{f.name}")
+    elif isinstance(want, dict):
+        assert list(got) == list(want), where
+        for key in want:
+            _assert_same(got[key], want[key], f"{where}[{key!r}]")
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{i}]")
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray), where
+        assert got.dtype == want.dtype, where
+        assert np.array_equal(got, want, equal_nan=True), where
+    elif isinstance(want, float):
+        assert np.array_equal(got, want, equal_nan=True), where
+    else:
+        assert got == want, where
+
+
+@pytest.fixture(scope="module")
+def mixed_rate_journal(tmp_path_factory):
+    """A journaled 250/500 Hz fleet whose dropouts never rejoin, so
+    the journal holds complete sessions at both rates plus open ones."""
+    fleet = DeviceFleet(FleetConfig(
+        n_devices=4, duration_s=8.0, chunk_s=1.0,
+        fs_choices=(250.0, 500.0), seed=3, n_rounds=2,
+        round_gap_s=2.0, dropout=0.5, rejoin=False))
+    assert fleet.dropped_session_ids      # the seed must churn
+    directory = tmp_path_factory.mktemp("mixed-rate")
+    with ChunkJournal(directory) as journal:
+        for chunk in fleet:
+            journal.append(chunk)
+    return directory
+
+
+@pytest.mark.parametrize("backend", ["cohort", "thread", "process"])
+def test_batch_recover_equals_streaming_replay(mixed_rate_journal,
+                                               backend):
+    """recover() finalizes as one batch, yet every SessionResult —
+    dict order, chunk count, arrival stamps, the assembled recording
+    and every PipelineResult field — equals a streaming-executor
+    replay of the same scan, on every batch backend."""
+    manager = RecoveryManager(mixed_rate_journal)
+    scan = manager.scan()
+    rates = {chunks[0].fs for chunks in scan.complete.values()}
+    assert rates == {250.0, 500.0} and scan.open
+    replay = StreamingExecutor(n_workers=1, preview=False,
+                               allow_open=True)
+    want = replay.run(RecoveryManager._replay(scan))
+
+    outcome = manager.recover(n_workers=2, finalize_backend=backend)
+    assert list(outcome.results) == list(scan.complete)
+    _assert_same(outcome.results, want)
+    assert outcome.open_sessions == replay.last_open_sessions
+    assert outcome.open_sessions == tuple(sorted(scan.open))
 
 
 # -- dropout + journal completion ----------------------------------------

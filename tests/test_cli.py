@@ -269,6 +269,29 @@ def test_recover_json_damage_counts_and_exit_code(tmp_path, capsys):
     assert payload["damage"]["crc_mismatch"] == 1
 
 
+def test_recover_json_sessions_match_across_backends(tmp_path, capsys):
+    """The default cohort backend reports exactly what the thread
+    backend does: same sessions, verdicts, chunk counts and payloads."""
+    import json
+
+    journal = tmp_path / "journal"
+    code = cli.main(["ingest", "--devices", "3", "--duration", "8",
+                     "--chunk", "2", "--jobs", "1", "--rounds", "2",
+                     "--dropout", "0.5", "--no-rejoin", "--seed", "4",
+                     "--journal", str(journal)])
+    assert code == 0
+    capsys.readouterr()
+    sessions = {}
+    for backend in ("cohort", "thread"):
+        code = cli.main(["recover", "--json", "--backend", backend,
+                         str(journal)])
+        assert code == 0
+        sessions[backend] = json.loads(capsys.readouterr().out)["sessions"]
+    verdicts = {s["verdict"] for s in sessions["cohort"].values()}
+    assert verdicts == {"recovered", "open"}
+    assert sessions["cohort"] == sessions["thread"]
+
+
 def test_journal_gc_reclaims_and_reports(tmp_path, capsys):
     journal = tmp_path / "journal"
     _journaled_ingest(journal)
