@@ -43,14 +43,20 @@ Two codec paths share the byte format:
   frame goes to disk through one ``os.writev``.  The concatenation of
   the iovec is bit-identical to the reference frame, pinned by test.
 
-On the read side :func:`decode_chunk` rebuilds each chunk with private
-copies of its arrays.  Encoders and decoder alike credit
+On the read side one decoder serves both :func:`scan_segment` and
+:func:`decode_chunk`.  The scan checks each record's CRC before it
+decodes it.  A record's arrays lie back-to-back on disk, so one
+``frombuffer().copy()`` lifts them all into a private block and each
+name gets a disjoint slice of it: one private copy per record, never
+a view into the segment buffer.  Encoders and decoder alike credit
 :mod:`repro.ingest.stats` so "zero copies" is an asserted number, not
-a comment.
+a comment; the scan credits its decoded bytes once per segment,
+:func:`decode_chunk` once per call.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 import zlib
@@ -62,7 +68,7 @@ import numpy as np
 
 from repro.errors import JournalError
 
-# RecordingChunk is imported lazily inside the decoders: the io package
+# RecordingChunk is imported lazily, by _chunk_type: the io package
 # sits below repro.ingest in the import graph (chunks are built from
 # repro.io.records), so a module-level import here would be circular —
 # the same convention repro.io.shards uses for the experiment types.
@@ -76,13 +82,17 @@ __all__ = ["MAGIC", "encode_chunk", "encode_chunk_iov", "decode_chunk",
 #: start has lost the framing and must stop.
 MAGIC = b"ICGJ"
 
-_FRAME = len(MAGIC) + 4 + 4     # magic | payload_len | crc32
+#: Frame header: magic | payload_len u32 | crc32 u32.
+_FRAME_HEAD = struct.Struct("<4sII")
+_FRAME = _FRAME_HEAD.size
 
 #: The wire dtype.  Arrays already in it (device chunks are) skip the
 #: ``ascontiguousarray`` round-trip on the encode hot path.
 _LE_F8 = np.dtype("<f8")
 
 _U32 = struct.Struct("<I")
+
+_JSON = json.JSONDecoder()
 
 
 def _credit(**deltas) -> None:
@@ -202,26 +212,50 @@ def encode_chunk_iov(chunk) -> list:
 def decode_chunk(payload):
     """Rebuild the :class:`~repro.ingest.chunks.RecordingChunk` a
     payload encodes (raises on malformed input — callers gate on the
-    CRC first).  Every array is a private copy."""
-    from repro.ingest.chunks import RecordingChunk
-
-    header, offset = _decode_header(payload)
-    signals, annotations = {}, {}
-    copied = 0
-    for store, names in (
-            (signals, header["signals"]),
-            (annotations, header["annotations"])):
-        for name, size in names:
-            nbytes = int(size) * 8
-            block = payload[offset:offset + nbytes]
-            if len(block) != nbytes:
-                raise JournalError("record payload shorter than its "
-                                   "declared arrays")
-            store[name] = np.frombuffer(block, dtype="<f8").copy()
-            offset += nbytes
-            copied += nbytes
+    CRC first).  The arrays are disjoint slices of one private copy,
+    never views into ``payload``."""
+    chunk, copied = _decode(payload)
     _credit(bytes_copied=copied)
-    return RecordingChunk(
+    return chunk
+
+
+@functools.cache
+def _chunk_type():
+    """:class:`~repro.ingest.chunks.RecordingChunk`, imported once on
+    first use (an import statement per record costs about 1 µs)."""
+    from repro.ingest.chunks import RecordingChunk
+    return RecordingChunk
+
+
+def _decode(payload):
+    """``(chunk, bytes_copied)`` of one record payload — the single
+    decoder behind :func:`decode_chunk` and :func:`scan_segment`.
+
+    The float64 arrays sit back-to-back after the header, so one
+    ``frombuffer().copy()`` lifts all of them into a private block and
+    each name gets a disjoint slice of it: one copy per record, never
+    a view into the caller's buffer.
+    """
+    header, offset = _decode_header(payload)
+    layout = header["signals"] + header["annotations"]
+    total = 0
+    for _, size in layout:
+        if size < 0:
+            raise JournalError("record declares a negative array size")
+        total += size
+    if len(payload) - offset < total * 8:
+        raise JournalError("record payload shorter than its "
+                           "declared arrays")
+    block = np.frombuffer(payload, dtype=_LE_F8, count=total,
+                          offset=offset).copy()
+    signals, annotations = {}, {}
+    position = 0
+    for store, names in ((signals, header["signals"]),
+                         (annotations, header["annotations"])):
+        for name, size in names:
+            store[name] = block[position:position + size]
+            position += size
+    chunk = _chunk_type()(
         session_id=header["session_id"],
         seq=int(header["seq"]),
         fs=float(header["fs"]),
@@ -230,18 +264,29 @@ def decode_chunk(payload):
         is_last=bool(header["is_last"]),
         arrival_s=float(header["arrival_s"]),
         annotations=annotations,
-        meta=dict(header["meta"]),
+        meta=header["meta"],
     )
+    return chunk, block.nbytes
 
 
 def _decode_header(payload):
+    """``(header dict, offset of the first array)`` of one payload.
+
+    Strict: the JSON object must fill its declared length exactly —
+    the encoder never writes padding, so trailing bytes are damage.
+    """
     if len(payload) < 4:
         raise JournalError("record payload too short for a header")
-    head_len = int(np.frombuffer(payload[:4], dtype="<u4")[0])
-    head = payload[4:4 + head_len]
-    if len(head) != head_len:
+    (head_len,) = _U32.unpack_from(payload)
+    end = 4 + head_len
+    if len(payload) < end:
         raise JournalError("record payload shorter than its header")
-    return json.loads(bytes(head).decode("utf-8")), 4 + head_len
+    text = str(payload[4:end], "utf-8")
+    header, stop = _JSON.raw_decode(text)
+    if stop != len(text):
+        raise JournalError("record header has bytes after its JSON "
+                           "object")
+    return header, end
 
 
 def payload_crc(parts) -> int:
@@ -334,31 +379,33 @@ def scan_segment(path) -> SegmentScan:
 
     Never raises on damaged content — damage is classified per the
     module taxonomy and reported in the returned :class:`SegmentScan`.
+    Each record's CRC is checked before it is decoded, and the bytes
+    the decodes copied are credited once for the whole segment.
     """
     path = Path(path)
     data = path.read_bytes()
     view = memoryview(data)
+    size = len(data)
     entries = []
+    copied = 0
     offset = 0
     torn = None
     lost = None
-    while offset < len(data):
-        frame = data[offset:offset + _FRAME]
-        if len(frame) < _FRAME:
+    while offset < size:
+        if size - offset < _FRAME:
             torn = offset
             break
-        if frame[:len(MAGIC)] != MAGIC:
+        magic, payload_len, crc_stored = _FRAME_HEAD.unpack_from(
+            data, offset)
+        if magic != MAGIC:
             lost = offset
             break
-        payload_len = int(np.frombuffer(
-            frame[len(MAGIC):len(MAGIC) + 4], dtype="<u4")[0])
-        crc_stored = int(np.frombuffer(
-            frame[len(MAGIC) + 4:], dtype="<u4")[0])
-        payload = view[offset + _FRAME:offset + _FRAME + payload_len]
-        if len(payload) < payload_len:
+        start = offset + _FRAME
+        length = _FRAME + payload_len
+        if size - start < payload_len:
             torn = offset
             break
-        length = _FRAME + payload_len
+        payload = view[start:start + payload_len]
         if (zlib.crc32(payload) & 0xFFFFFFFF) != crc_stored:
             sid, seq = _best_effort_identity(payload)
             entries.append(RecordEntry(
@@ -366,7 +413,7 @@ def scan_segment(path) -> SegmentScan:
                 error="crc mismatch", session_id=sid, seq=seq))
         else:
             try:
-                chunk = decode_chunk(payload)
+                chunk, nbytes = _decode(payload)
             except Exception as exc:     # malformed despite good CRC
                 sid, seq = _best_effort_identity(payload)
                 entries.append(RecordEntry(
@@ -374,10 +421,13 @@ def scan_segment(path) -> SegmentScan:
                     error=f"undecodable record: {exc}",
                     session_id=sid, seq=seq))
             else:
+                copied += nbytes
                 entries.append(RecordEntry(
                     offset=offset, length=length, chunk=chunk,
                     session_id=chunk.session_id, seq=chunk.seq))
         offset += length
+    if copied:
+        _credit(bytes_copied=copied)
     return SegmentScan(path=path, entries=tuple(entries),
                        torn_offset=torn, lost_framing_offset=lost)
 

@@ -16,6 +16,10 @@ journal's record framing is designed around
   lies: flip one byte of a stored record's CRC field or payload.  The
   scan must flag the record, pin it to its session, and quarantine
   exactly that session — never crash, never silently accept.
+* :func:`append_undecodable_record` — the *writer* lied: a frame whose
+  CRC is valid but whose payload does not decode (arrays shorter than
+  the header declares, or bytes after the header's JSON object).  The
+  scan must report it as an undecodable record, not accept it.
 
 The storage-lifecycle PR adds three more families:
 
@@ -42,17 +46,25 @@ of segment layout; record indices count across segments in log order.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import struct
 from pathlib import Path
 from typing import Optional
 
-from repro.io.journal_records import MAGIC, scan_segment
+from repro.io.journal_records import (
+    MAGIC,
+    encode_chunk,
+    frame_record,
+    scan_segment,
+)
 
 __all__ = ["SimulatedCrash", "FaultySource", "StalledSource",
            "journal_segments",
            "tear_journal_tail", "flip_crc_byte", "flip_payload_byte",
-           "flip_magic_byte", "CrashAfterEvents", "flip_archive_byte",
+           "flip_magic_byte", "append_undecodable_record",
+           "CrashAfterEvents", "flip_archive_byte",
            "kill_worker_job", "KILL_SENTINEL"]
 
 _FRAME = len(MAGIC) + 4 + 4
@@ -197,6 +209,40 @@ def flip_payload_byte(directory, index: int = 0,
         payload_offset = (entry.length - _FRAME) - 8
     _flip_byte(path, entry.offset + _FRAME + payload_offset)
     return entry.session_id
+
+
+def append_undecodable_record(directory, chunk, kind: str) -> str:
+    """Append a CRC-valid frame that does not decode to the journal's
+    last segment; returns ``chunk.session_id``.
+
+    The frame is ``chunk``'s record with one defect, framed (and so
+    CRC'd) by :func:`~repro.io.journal_records.frame_record` after the
+    damage:
+
+    * ``"short_arrays"`` — the header declares one more sample per
+      signal than the payload holds.  The header itself still parses,
+      so the scan can pin the record to its session.
+    * ``"trailing_header_bytes"`` — bytes follow the header's JSON
+      object inside its declared length, so the header does not parse
+      and the record cannot be attributed.
+    """
+    payload = encode_chunk(chunk)
+    (head_len,) = struct.unpack_from("<I", payload)
+    head = payload[4:4 + head_len]
+    arrays = payload[4 + head_len:]
+    if kind == "short_arrays":
+        header = json.loads(head)
+        header["signals"] = [[name, size + 1]
+                             for name, size in header["signals"]]
+        head = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    elif kind == "trailing_header_bytes":
+        head += b"#junk"
+    else:
+        raise ValueError(f"unknown damage kind {kind!r}")
+    frame = frame_record(struct.pack("<I", len(head)) + head + arrays)
+    with open(journal_segments(directory)[-1], "ab") as fh:
+        fh.write(frame)
+    return chunk.session_id
 
 
 # -- storage-lifecycle faults --------------------------------------------

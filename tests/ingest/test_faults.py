@@ -3,6 +3,8 @@ bytes.  The durability contract under test: recovery either resumes
 bit-identically or reports the exact damaged session — it never
 crashes and never silently drops or mangles data."""
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,11 @@ from repro.ingest import (
     StreamingExecutor,
     scan_journal,
 )
+from repro.io.journal_records import scan_segment
 from tests.ingest.faults import (
     FaultySource,
     SimulatedCrash,
+    append_undecodable_record,
     flip_crc_byte,
     flip_magic_byte,
     flip_payload_byte,
@@ -193,6 +197,57 @@ def test_resume_quarantines_damaged_sessions_and_completes_the_rest(
     healthy = {sid: ref for sid, ref in uninterrupted.items()
                if sid != victim}
     _assert_sessions_identical(outcome.results, healthy)
+
+
+def _recover_undamaged_copy(directory, copy):
+    """Recover a copy of ``directory`` taken before any damage — the
+    reference the damaged journal's healthy sessions must match."""
+    shutil.copytree(directory, copy)
+    return RecoveryManager(copy).recover()
+
+
+def _last_entry_error(directory):
+    return scan_segment(journal_segments(directory)[-1]).entries[-1].error
+
+
+def test_undecodable_record_quarantines_its_session_alone(tmp_path,
+                                                          fleet):
+    """A CRC-valid record whose header declares more samples than its
+    payload holds: the scan pins it to its session by the header and
+    quarantines that session only."""
+    directory = _crash_journaled_run(tmp_path, fleet, 20)
+    want = _recover_undamaged_copy(directory, tmp_path / "undamaged")
+    victim = sorted(want.results)[0]
+    chunk = next(c for c in fleet if c.session_id == victim)
+    append_undecodable_record(directory, chunk, "short_arrays")
+    assert _last_entry_error(directory).startswith("undecodable record")
+    scan = scan_journal(directory)
+    assert set(scan.damaged) == {victim}
+    assert scan.unattributed_damage == 0
+    outcome = RecoveryManager(directory).recover()
+    assert set(outcome.damaged) == {victim}
+    assert outcome.damaged[victim].startswith("undecodable record")
+    healthy = {sid: result for sid, result in want.results.items()
+               if sid != victim}
+    _assert_sessions_identical(outcome.results, healthy)
+
+
+def test_unattributable_undecodable_record_spares_every_session(
+        tmp_path, fleet):
+    """Bytes after the header's JSON object: the record is undecodable
+    and its header unreadable, so it counts as unattributed damage and
+    every complete session still finalizes."""
+    directory = _crash_journaled_run(tmp_path, fleet, 20)
+    want = _recover_undamaged_copy(directory, tmp_path / "undamaged")
+    chunk = next(c for c in fleet if c.session_id in want.results)
+    append_undecodable_record(directory, chunk, "trailing_header_bytes")
+    assert _last_entry_error(directory).startswith("undecodable record")
+    scan = scan_journal(directory)
+    assert not scan.damaged
+    assert scan.unattributed_damage == 1
+    outcome = RecoveryManager(directory).recover()
+    assert not outcome.damaged
+    _assert_sessions_identical(outcome.results, want.results)
 
 
 def test_journal_refuses_appends_to_damaged_sessions(tmp_path, fleet):

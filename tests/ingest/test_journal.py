@@ -23,6 +23,8 @@ from repro.io.journal_records import (
 from repro.synth import SynthesisConfig, default_cohort, synthesize_recording
 
 FLEET = FleetConfig(n_devices=3, duration_s=8.0, chunk_s=2.0, seed=21)
+MIXED_FS_FLEET = FleetConfig(n_devices=3, duration_s=8.0, chunk_s=2.0,
+                             fs_choices=(250.0, 500.0), seed=21)
 
 
 @pytest.fixture(scope="module")
@@ -45,23 +47,55 @@ def _journal_all(directory, chunks, **kwargs):
 # -- the record codec ----------------------------------------------------
 
 
-def test_codec_roundtrips_every_chunk_bit_for_bit(chunks):
-    for chunk in chunks:
-        back = decode_chunk(encode_chunk(chunk))
-        assert back.session_id == chunk.session_id
-        assert back.seq == chunk.seq
-        assert back.fs == chunk.fs
-        assert back.start_sample == chunk.start_sample
-        assert back.is_last == chunk.is_last
-        assert back.arrival_s == chunk.arrival_s
-        assert set(back.signals) == set(chunk.signals)
-        for name in chunk.signals:
-            assert np.array_equal(back.signals[name],
-                                  chunk.signals[name])
-        for name in chunk.annotations:
-            assert np.array_equal(back.annotations[name],
-                                  chunk.annotations[name])
-        assert back.meta == chunk.meta
+def _scan_decoded(directory, chunks):
+    """Chunks decoded through the scan path: framed into one segment
+    file, read back with :func:`scan_segment`."""
+    path = directory / "segment-00000.log"
+    with open(path, "wb") as fh:
+        for chunk in chunks:
+            fh.write(frame_record(encode_chunk(chunk)))
+    scan = scan_segment(path)
+    assert scan.clean
+    return [entry.chunk for entry in scan.entries]
+
+
+def test_codec_roundtrips_every_chunk_bit_for_bit(tmp_path):
+    """Both decode entry points rebuild every chunk exactly, each
+    array a private, writeable little-endian float64 copy that
+    overlaps no other decoded array."""
+    chunks = list(DeviceFleet(MIXED_FS_FLEET))
+    assert {chunk.fs for chunk in chunks} == {250.0, 500.0}
+    assert any(chunk.annotations and chunk.meta for chunk in chunks)
+    decoded_by = {
+        "decode_chunk": [decode_chunk(encode_chunk(c)) for c in chunks],
+        "scan_segment": _scan_decoded(tmp_path, chunks),
+    }
+    for decoded in decoded_by.values():
+        assert len(decoded) == len(chunks)
+        for back, chunk in zip(decoded, chunks):
+            assert back.session_id == chunk.session_id
+            assert back.seq == chunk.seq
+            assert back.fs == chunk.fs
+            assert back.start_sample == chunk.start_sample
+            assert back.is_last == chunk.is_last
+            assert back.arrival_s == chunk.arrival_s
+            assert set(back.signals) == set(chunk.signals)
+            for name in chunk.signals:
+                assert np.array_equal(back.signals[name],
+                                      chunk.signals[name])
+            assert set(back.annotations) == set(chunk.annotations)
+            for name in chunk.annotations:
+                assert np.array_equal(back.annotations[name],
+                                      chunk.annotations[name])
+            assert back.meta == chunk.meta
+        arrays = [array for back in decoded
+                  for store in (back.signals, back.annotations)
+                  for array in store.values()]
+        for i, array in enumerate(arrays):
+            assert array.dtype == np.dtype("<f8")
+            assert array.flags.writeable
+            for other in arrays[i + 1:]:
+                assert not np.shares_memory(array, other)
 
 
 def test_codec_roundtrips_trailer_annotations_and_meta():

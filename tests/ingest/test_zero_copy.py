@@ -136,6 +136,28 @@ def test_frame_record_accepts_bytes_or_iovec(chunks):
     assert frame_record(view) == frame_record(bytes(view))
 
 
+def test_scan_credits_exactly_the_decoded_bytes(tmp_path):
+    """A journal scan's ``bytes_copied`` is the decoded arrays' bytes:
+    signals and trailer annotations, over every segment."""
+    fleet = DeviceFleet(FleetConfig(n_devices=2, duration_s=8.0,
+                                    chunk_s=2.0, seed=7))
+    with ChunkJournal(tmp_path / "j", segment_records=3) as journal:
+        for chunk in fleet:
+            journal.append(chunk)
+    reset_ingest_stats()
+    scan = scan_journal(tmp_path / "j")
+    assert len(scan.segments) > 1
+    decoded = [chunk for chunks in (*scan.complete.values(),
+                                    *scan.open.values())
+               for chunk in chunks]
+    assert len(decoded) == scan.n_records
+    assert any(chunk.annotations for chunk in decoded)
+    assert ingest_stats().bytes_copied == sum(
+        array.nbytes for chunk in decoded
+        for store in (chunk.signals, chunk.annotations)
+        for array in store.values())
+
+
 # -- group-commit write-through -------------------------------------------
 
 
