@@ -33,8 +33,8 @@ import perf_regression
 from conftest import save_artifact
 
 from repro.core import BeatToBeatPipeline, FilterDesignCache, process_batch
-from repro.dsp import iir as _iir
 from repro.experiments import format_table
+from tests.oracles import scalar_sosfilt
 
 N_JOBS = 4
 
@@ -91,7 +91,7 @@ def test_batch_throughput(benchmark, results_dir):
     # output and clear the >= 5x bar on the filtering layer.
     probe = recordings[0]
     pipeline = BeatToBeatPipeline(probe.fs, cache=warm_cache)
-    with _iir.use_sosfilt_backend("reference"):
+    with scalar_sosfilt():
         reference = pipeline.process_recording(probe)
     vectorized = pipeline.process_recording(probe)
     scale = float(np.max(np.abs(reference.icg)))

@@ -4,7 +4,7 @@ Measures, for a synthetic cohort, recordings/sec of
 
 * the *filtering kernel layer* of one recording (every SOS/FIR
   application the chain performs) with the scalar reference kernels
-  vs the vectorized ones — the headline speedup of the vectorized
+  of ``tests/oracles`` vs the vectorized ones — the headline speedup of the vectorized
   DSP layer;
 * the *end-to-end pipeline* under the full-scalar chain (reference
   sosfilt + reference per-beat point detection) vs the full-vectorized
@@ -76,6 +76,8 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:     # standalone invocation
     sys.path.insert(0, str(REPO_ROOT / "src"))
+if str(REPO_ROOT) not in sys.path:             # the tests.oracles baselines
+    sys.path.insert(0, str(REPO_ROOT))
 
 from repro.core import (                                   # noqa: E402
     BeatToBeatPipeline,
@@ -84,13 +86,10 @@ from repro.core import (                                   # noqa: E402
     process_batch,
     process_cohort,
     shutdown_persistent_pool,
-    use_cohort_backend,
 )
 from repro.core.executor import last_ipc_stats             # noqa: E402
-from repro.dsp import calibration as _calibration          # noqa: E402
 from repro.dsp import fir as _fir                          # noqa: E402
 from repro.dsp import iir as _iir                          # noqa: E402
-from repro.icg.points import use_point_backend             # noqa: E402
 from repro.icg.preprocessing import icg_from_impedance     # noqa: E402
 from repro.ingest import (                                 # noqa: E402
     DeviceFleet,
@@ -101,6 +100,11 @@ from repro.synth import (                                  # noqa: E402
     SynthesisConfig,
     default_cohort,
     synthesize_recording,
+)
+from tests.oracles import (                                # noqa: E402
+    per_recording,
+    reference_pipeline,
+    scalar_sosfilt,
 )
 
 #: Keys (dotted paths into the summary) gated by the regression check.
@@ -596,7 +600,7 @@ def measure_cohort(quick: bool = False) -> dict:
     setups, 8 s each) is tiled out to each scaling point — synthesis
     cost stays constant while the measured sweep grows, exactly how
     the executor's ``process_scaling`` workload is built.  Per point:
-    per-recording dispatch (the ``"reference"`` cohort backend — the
+    per-recording dispatch (``tests.oracles.per_recording`` — the
     oracle the parity suite pins the tier against) and the batched
     tier, both over identical inputs and a shared warm design cache.
 
@@ -643,8 +647,7 @@ def measure_cohort(quick: bool = False) -> dict:
 
 def _run_cohort_reference(recordings, cache) -> None:
     """Per-recording dispatch over ``recordings`` (the serial side)."""
-    with use_cohort_backend("reference"):
-        process_cohort(recordings, cache=cache)
+    per_recording(recordings, cache=cache)
 
 
 def measure(quick: bool = False, n_jobs: int = 4,
@@ -686,21 +689,20 @@ def measure(quick: bool = False, n_jobs: int = 4,
 
     # -- kernel layer: scalar reference vs vectorized -------------------
     kernel_run = filter_workload(probe, cache, config)
-    with _iir.use_sosfilt_backend("reference"):
+    with scalar_sosfilt():
         scalar_kernel_s = timer(kernel_run)
     vector_kernel_s = timer(kernel_run)
 
     # -- end-to-end pipeline: full-scalar chain vs full-vectorized ------
-    # "Scalar" pins every backend toggle to its per-sample/per-beat
-    # reference (the original implementations); "vectorized" is the
-    # production configuration (blocked SOS scan + beat-batched
-    # landmark kernels).
+    # "Scalar" is the chain of the original implementations from
+    # tests/oracles (per-sample SOS loop, per-beat point detection and
+    # hemodynamics); "vectorized" is the production pipeline (blocked
+    # SOS scan + beat-batched landmark kernels).
     pipeline = BeatToBeatPipeline(probe.fs, config, cache=cache)
-    single = lambda: pipeline.process_recording(probe)  # noqa: E731
-    with _iir.use_sosfilt_backend("reference"), \
-            use_point_backend("reference"):
-        scalar_pipe_s = timer(single)
-    vector_pipe_s = timer(single)
+    reference = reference_pipeline(probe.fs, config, cache=cache)
+    with scalar_sosfilt():
+        scalar_pipe_s = timer(lambda: reference.process_recording(probe))
+    vector_pipe_s = timer(lambda: pipeline.process_recording(probe))
 
     summary = {
         "mode": "quick" if quick else "full",
@@ -803,8 +805,6 @@ def measure(quick: bool = False, n_jobs: int = 4,
         summary["ingest"] = measure_ingest(quick)
 
     summary["cache"] = cache.stats()
-    summary["fft_calibration"] = _calibration.default_crossover_table() \
-        .stats()
     return summary
 
 

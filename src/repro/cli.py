@@ -30,10 +30,11 @@ want:
   (buffered chunks finalized, open sessions left durable);
 * ``recover`` — re-open a journal directory after a crash: finalize
   every session whose trailer was journaled (bit-identical to the
-  interrupted run), report the ones still open, and quarantine any
-  the scan found damaged; ``--json`` emits the machine-readable
-  report (per-session verdicts, damage taxonomy counts, bytes
-  scanned) with the same exit-1-iff-damage contract;
+  interrupted run), report the ones still open, quarantine any the
+  scan found damaged, and report any the pipeline rejected; ``--json``
+  emits the machine-readable report (per-session verdicts, damage
+  taxonomy counts, bytes scanned); either form exits 1 on any damage
+  or rejected session;
 * ``journal-gc`` — reclaim journal segments whose records belong to
   finalized, manifested sessions (delete fully dead segments, compact
   mixed ones); crash-safe and a conservative no-op on damage;
@@ -292,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover = commands.add_parser(
         "recover", help="recover a chunk journal after a crash: "
-                        "finalize completed sessions, report open and "
-                        "damaged ones")
+                        "finalize completed sessions, report open, "
+                        "damaged and rejected ones")
     recover.add_argument("journal", help="the journal directory a "
                                          "previous `repro ingest "
                                          "--journal` wrote")
@@ -649,7 +650,7 @@ def _cmd_recover(args) -> int:
     manager = RecoveryManager(args.journal)
     outcome = manager.recover(n_workers=args.jobs,
                               finalize_backend=args.backend)
-    exit_code = 1 if (outcome.damaged
+    exit_code = 1 if (outcome.damaged or outcome.rejected
                       or outcome.unattributed_damage) else 0
     if args.json:
         sessions = {}
@@ -665,6 +666,8 @@ def _cmd_recover(args) -> int:
             sessions[sid] = {"verdict": "open"}
         for sid, reason in outcome.damaged.items():
             sessions[sid] = {"verdict": "damaged", "reason": reason}
+        for sid, reason in outcome.rejected.items():
+            sessions[sid] = {"verdict": "rejected", "reason": reason}
         print(json.dumps({
             "journal": str(args.journal),
             "n_records": int(outcome.n_records),
@@ -687,6 +690,8 @@ def _cmd_recover(args) -> int:
               f"{', '.join(outcome.open_sessions)}")
     for session_id in sorted(outcome.damaged):
         print(f"DAMAGED {session_id}: {outcome.damaged[session_id]}")
+    for session_id in sorted(outcome.rejected):
+        print(f"REJECTED {session_id}: {outcome.rejected[session_id]}")
     if outcome.unattributed_damage:
         print(f"DAMAGED records not attributable to a session: "
               f"{outcome.unattributed_damage}")

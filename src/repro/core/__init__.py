@@ -13,14 +13,10 @@ from repro.core.cache import (
     default_design_cache,
 )
 from repro.core.cohort import (
-    COHORT_BACKENDS,
     CohortGroup,
     CohortPlan,
-    cohort_backend,
     plan_cohort,
     process_cohort,
-    set_cohort_backend,
-    use_cohort_backend,
 )
 from repro.core.config import PipelineConfig
 from repro.core.context import BeatContext
@@ -76,8 +72,6 @@ __all__ = [
     "process_worker_cache_stats", "persistent_pool_stats",
     "persistent_process_pool", "shutdown_persistent_pool",
     "process_cohort", "plan_cohort", "CohortPlan", "CohortGroup",
-    "COHORT_BACKENDS", "cohort_backend", "set_cohort_backend",
-    "use_cohort_backend",
     "ShmArena", "ShmDescriptor", "RecordingDescriptor", "attach_view",
     "publish_recording", "recording_from_descriptor",
 ]

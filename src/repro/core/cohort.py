@@ -25,17 +25,12 @@ whole group to per-recording dispatch, and row-level failures (e.g.
 too few R peaks) raise at the failing recording's input position,
 exactly where the serial loop would have raised.
 
-:func:`set_cohort_backend` keeps per-recording dispatch available as
-the reference backend (the oracle the parity tests compare against),
-mirroring :func:`repro.icg.points.set_point_backend`.  The tier also
-falls back to per-recording dispatch when the scalar ``sosfilt``
-reference kernel is selected — the batched IIR scan has no scalar
-twin.
+The parity tests compare every result against a plain
+``process_recording`` loop, kept in ``tests/oracles/``.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -49,32 +44,21 @@ from repro.core.pipeline import (
     result_from_context,
 )
 from repro.core.stages import HemodynamicsStage, PointDetectionStage
-from repro.dsp import iir as _iir
 from repro.dsp._signal import stack_ragged
 from repro.ecg.pan_tompkins import PanTompkinsDetector
 from repro.ecg.preprocessing import preprocess_ecg_batch
 from repro.errors import ConfigurationError, SignalError
 from repro.icg.batch import BeatLandmarks, detect_all_points_batched
-from repro.icg.points import active_point_backend
 from repro.icg.preprocessing import icg_from_impedance_batch
 
 __all__ = [
-    "COHORT_BACKENDS",
     "MAX_GROUP_ROWS",
     "MIN_GROUP_ROWS",
     "CohortGroup",
     "CohortPlan",
     "plan_cohort",
     "process_cohort",
-    "set_cohort_backend",
-    "cohort_backend",
-    "use_cohort_backend",
 ]
-
-#: Which cohort tier runs: ``"batched"`` (leading-axis kernels, the
-#: default) or ``"reference"`` (per-recording dispatch, the oracle).
-COHORT_BACKENDS = ("batched", "reference")
-_cohort_backend = "batched"
 
 #: Slab cap: groups larger than this run as consecutive slabs so a
 #: 10^4-recording group never materialises one giant matrix (512 rows
@@ -86,38 +70,6 @@ MAX_GROUP_ROWS = 512
 #: Groups smaller than this gain nothing from stacking and go through
 #: per-recording dispatch directly.
 MIN_GROUP_ROWS = 2
-
-
-def set_cohort_backend(name: str) -> None:
-    """Select the cohort execution tier process-wide.
-
-    ``"batched"`` stacks recording groups into leading-axis kernel
-    calls; ``"reference"`` forces per-recording dispatch — the oracle
-    the cohort parity suite compares against (same idiom as
-    :func:`repro.icg.points.set_point_backend`).
-    """
-    global _cohort_backend
-    if name not in COHORT_BACKENDS:
-        raise ConfigurationError(
-            f"unknown cohort backend {name!r}; "
-            f"choose from {COHORT_BACKENDS}")
-    _cohort_backend = name
-
-
-def cohort_backend() -> str:
-    """The currently selected cohort execution tier."""
-    return _cohort_backend
-
-
-@contextlib.contextmanager
-def use_cohort_backend(name: str):
-    """Temporarily switch the cohort tier (benches, parity tests)."""
-    previous = _cohort_backend
-    set_cohort_backend(name)
-    try:
-        yield
-    finally:
-        set_cohort_backend(previous)
 
 
 @dataclass(frozen=True)
@@ -298,8 +250,7 @@ def _run_group(group: CohortGroup, recordings, config: PipelineConfig,
             out.r_peaks = r_peaks
             out.icg = icg_rows[row, :valid].copy()
         outputs[index] = out
-    if active_point_backend() == "batched":
-        _batch_tail(group, config, outputs)
+    _batch_tail(group, config, outputs)
     return outputs
 
 
@@ -427,9 +378,8 @@ def process_cohort(recordings, config: Optional[PipelineConfig] = None,
     inside the BLAS/FFT kernels.
 
     Recordings the batched kernels cannot take (too short for the
-    uniform zero-phase pads, missing channels, singleton groups), any
-    group whose batched stage fails, and the whole cohort under the
-    reference ``sosfilt`` or cohort backend, run per-recording — the
+    uniform zero-phase pads, missing channels, singleton groups) and
+    any group whose batched stage fails run per-recording — the
     fallback lattice never trades correctness for speed.
     """
     recordings = list(recordings)
@@ -445,11 +395,6 @@ def process_cohort(recordings, config: Optional[PipelineConfig] = None,
         fs = float(recording.fs)
         if fs not in pipelines:
             pipelines[fs] = BeatToBeatPipeline(fs, config, cache=cache)
-
-    if (_cohort_backend == "reference"
-            or _iir.sosfilt_backend() == "reference"):
-        return [pipelines[float(r.fs)].process_recording(r)
-                for r in recordings]
 
     plan = plan_cohort(recordings, config, max_group_rows=max_group_rows)
     outputs: dict = {}

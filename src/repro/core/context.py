@@ -45,9 +45,8 @@ class BeatContext:
     icg: Optional[np.ndarray] = None
     points: Optional[list] = None
     #: Array twin of ``points`` (:class:`repro.icg.batch.BeatLandmarks`)
-    #: filled by the batched point-detection backend; ``None`` under the
-    #: reference backend, which downstream stages treat as "use the
-    #: per-beat path".
+    #: filled by the point-detection stage; ``None`` (a custom point
+    #: stage) is treated downstream as "use the per-beat path".
     beat_landmarks: Optional[object] = None
     failures: Optional[list] = None
     intervals: Optional[object] = None       # SystolicIntervals

@@ -58,7 +58,6 @@ from repro.core.cache import (
 )
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import BeatToBeatPipeline
-from repro.dsp import calibration as _calibration
 from repro.core.shm import (
     RecordingDescriptor,
     ShmArena,
@@ -156,10 +155,10 @@ def job_batches(items: Sequence, n_batches: int) -> list:
 
 # -- process-backend work queue ------------------------------------------
 
-#: Worker-side state: the shared callable memoized by content token,
-#: plus the last-installed calibration snapshot.  With the persistent
-#: pool, workers outlive fan-outs — the memo is what lets a warm
-#: worker skip re-unpickling a callable it already holds.
+#: Worker-side state: the shared callable memoized by content token.
+#: With the persistent pool, workers outlive fan-outs — the memo is
+#: what lets a warm worker skip re-unpickling a callable it already
+#: holds.
 _WORKER_SHARED: dict = {}
 
 #: Process-local pipeline memo for the process backend: one pipeline
@@ -168,25 +167,16 @@ _WORKER_SHARED: dict = {}
 _WORKER_PIPELINES: dict = {}
 
 
-def _install_worker_state(token: str, shared: bytes,
-                          calibration: dict) -> Callable:
+def _install_worker_state(token: str, shared: bytes) -> Callable:
     """Adopt a submission header in a worker; returns the callable.
 
     The callable travels pre-pickled so the parent can meter exactly
     what crosses the boundary; a warm worker that already holds this
-    ``token`` skips the unpickle.  The parent's FFT-crossover
-    calibration snapshot is re-installed only when it changed since
-    this worker's last job, so parent and worker can never disagree on
-    a convolution path (which would break the bit-identical
-    batch/serial contract) and a warm pool never reinstalls a
-    snapshot it already runs.
+    ``token`` skips the unpickle.
     """
     if _WORKER_SHARED.get("token") != token:
         _WORKER_SHARED["fn"] = pickle.loads(shared)
         _WORKER_SHARED["token"] = token
-    if _WORKER_SHARED.get("calibration") != calibration:
-        _calibration.install_snapshot(calibration)
-        _WORKER_SHARED["calibration"] = calibration
     return _WORKER_SHARED["fn"]
 
 
@@ -203,17 +193,6 @@ def _run_shared_batch(header: tuple, payload: bytes) -> tuple:
     fn = _install_worker_state(*header)
     results = [fn(item) for item in pickle.loads(payload)]
     return results, (os.getpid(), cache_statistics())
-
-
-def _run_direct_job(calibration: dict, fn: Callable, *args):
-    """Worker body for direct (non-batched) submissions through the
-    persistent pool — e.g. the streaming executor's per-session
-    finalize jobs.  Keeps the calibration contract of
-    :func:`_install_worker_state` without the shared-callable memo."""
-    if _WORKER_SHARED.get("calibration") != calibration:
-        _calibration.install_snapshot(calibration)
-        _WORKER_SHARED["calibration"] = calibration
-    return fn(*args)
 
 
 @dataclass(frozen=True)
@@ -299,8 +278,8 @@ PERSISTENT_POOL_ENV = "REPRO_PERSISTENT_POOL"
 
 #: The process-wide warm pool: ``[pool, n_workers]`` or ``None``.
 #: Reused across fan-outs so workers keep their design caches,
-#: pipeline memos, shared-callable memo and calibration snapshot warm
-#: — the second fan-out of a session pays zero fork/spawn latency.
+#: pipeline memos and shared-callable memo warm — the second fan-out
+#: of a session pays zero fork/spawn latency.
 _PERSISTENT_POOL: list = [None]
 _POOL_COUNTERS = {"created": 0, "reused": 0}
 
@@ -377,40 +356,23 @@ def persistent_pool_stats() -> dict:
 def persistent_process_pool(n_workers: int):
     """A process pool for direct submissions, warm when enabled.
 
-    Yields an object with ``submit(fn, *args)`` routing through the
-    warm pool (calibration snapshot piggybacked on every job, workers
-    install it only on change) — the streaming executor's finalize
-    fan-out uses this so back-to-back ingest runs reuse one worker
-    fleet.  Exiting the context does *not* tear the warm pool down;
-    with the pool disabled via :data:`PERSISTENT_POOL_ENV`, an
-    ephemeral pool is created and shut down on exit instead.
+    Yields the pool itself (``submit(fn, *args)``) — the streaming
+    executor's finalize fan-out uses this so back-to-back ingest runs
+    reuse one worker fleet.  Exiting the context does *not* tear the
+    warm pool down; with the pool disabled via
+    :data:`PERSISTENT_POOL_ENV`, an ephemeral pool is created and shut
+    down on exit instead.
     """
     if not _persistent_pool_enabled():
-        with ProcessPoolExecutor(
-                max_workers=n_workers,
-                initializer=_calibration.install_snapshot,
-                initargs=(_calibration.snapshot(),)) as pool:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
             yield pool
         return
     pool = _acquire_persistent_pool(n_workers)
     try:
-        yield _WarmPoolHandle(pool)
+        yield pool
     except BrokenProcessPool:
         _discard_persistent_pool(wait=False)
         raise
-
-
-class _WarmPoolHandle:
-    """Submission facade over the warm pool: every job carries the
-    parent's calibration snapshot (installed worker-side only when it
-    differs from the last one)."""
-
-    def __init__(self, pool: ProcessPoolExecutor) -> None:
-        self._pool = pool
-
-    def submit(self, fn: Callable, *args):
-        return self._pool.submit(_run_direct_job,
-                                 _calibration.snapshot(), fn, *args)
 
 
 def _submit_shared_batches(pool, header: tuple, payloads: list) -> list:
@@ -576,11 +538,11 @@ def _parallel_map_process(fn: Callable, items: list, n_jobs: int,
     """Batched process fan-out over the warm persistent pool; records
     IPC, worker-cache and pool-lifecycle stats.
 
-    Every submission carries a ``(token, shared_pickle, calibration)``
-    header: the shared callable is pickled once parent-side, shipped
-    with each batch (so any warm worker can serve any batch), and
-    memoized worker-side by content token — a warm worker that ran
-    the same callable last fan-out never re-unpickles it.
+    Every submission carries a ``(token, shared_pickle)`` header: the
+    shared callable is pickled once parent-side, shipped with each
+    batch (so any warm worker can serve any batch), and memoized
+    worker-side by content token — a warm worker that ran the same
+    callable last fan-out never re-unpickles it.
 
     Worker death never crashes the fan-out: a broken pool is rebuilt
     once and the unfinished jobs retried, a job that keeps killing
@@ -595,8 +557,7 @@ def _parallel_map_process(fn: Callable, items: list, n_jobs: int,
     n_workers = min(n_jobs, len(items))
     batches = job_batches(items, n_workers * BATCHES_PER_WORKER)
     shared = pickle.dumps(fn)
-    header = (hashlib.sha1(shared).hexdigest(), shared,
-              _calibration.snapshot())
+    header = (hashlib.sha1(shared).hexdigest(), shared)
     payloads = [pickle.dumps(batch) for batch in batches]
     payload_bytes = sum(len(payload) for payload in payloads)
     _LAST_WORKER_CACHE_STATS.clear()

@@ -153,20 +153,16 @@ class PointDetectionStage:
     result is fatal is the downstream consumer's decision (the full
     pipeline treats it as an error, the study runner reports NaNs).
 
-    Under the default batched backend (see
-    :func:`repro.icg.points.set_point_backend`) the detection runs the
-    beat-matrix kernels of :mod:`repro.icg.batch` and additionally
-    fills ``ctx.beat_landmarks`` with the landmark columns, which the
-    hemodynamics stage consumes without re-gathering per beat.  The
-    reference backend leaves ``beat_landmarks`` empty and downstream
-    stages take their per-beat paths — the configuration the parity
-    suite pins the batched chain against.
+    The detection runs the beat-matrix kernels of
+    :mod:`repro.icg.batch` and additionally fills
+    ``ctx.beat_landmarks`` with the landmark columns, which the
+    hemodynamics stage consumes without re-gathering per beat.
     """
 
     name = "point_detection"
 
     def run(self, ctx: BeatContext) -> BeatContext:
-        """Fill ``points``, ``failures`` and (batched) ``beat_landmarks``."""
+        """Fill ``points``, ``failures`` and ``beat_landmarks``."""
         points, failures, landmarks = detect_all_landmarks(
             ctx.require("icg"), ctx.fs, ctx.require("r_peak_indices"),
             ctx.config.points)
@@ -180,13 +176,14 @@ class HemodynamicsStage:
     """Z0, HR, PEP, LVET — the radio payload — plus SV/CO when the
     subject height is configured.
 
-    When the point-detection stage ran batched (``ctx.beat_landmarks``
-    present), the systolic intervals and per-beat hemodynamics come
-    from the landmark columns in one vectorized pass
+    When the point-detection stage filled ``ctx.beat_landmarks``, the
+    systolic intervals and per-beat hemodynamics come from the
+    landmark columns in one vectorized pass
     (:func:`~repro.icg.hemodynamics.systolic_intervals_from_landmarks`,
     :meth:`~repro.icg.hemodynamics.HemodynamicsEstimator.estimate_landmarks`);
-    otherwise the original per-beat loops run.  Both paths are
-    bit-identical (pinned by the batched-parity suite).
+    a custom point stage that leaves it ``None`` gets the original
+    per-beat loops.  Both paths are bit-identical (pinned by the
+    batched-parity suite).
     """
 
     name = "hemodynamics"

@@ -36,20 +36,16 @@ __all__ = [
     "FFT_CROSSOVER_TAPS",
 ]
 
-#: Static default tap count above which the FFT convolution path beats
-#: direct ``np.convolve``.  Measured on the reference interpreter
-#: (numpy 2.x, signals of 2k-32k samples): direct wins clearly through
-#: ~129 taps, the two trade places around 257, and FFT wins beyond.
-#: Kernels this long appear in the high-rate device modes (e.g. the
-#: 150 ms Pan-Tompkins integration window at fs >= ~1.7 kHz) and the
-#: resampler's anti-alias filters.
-#:
-#: ``method="auto"`` no longer uses this constant directly: the actual
-#: switch point comes from the startup micro-calibration in
-#: :mod:`repro.dsp.calibration` (per signal-length bucket, clamped,
-#: env-overridable), which tracks numpy/BLAS differences between
-#: hosts.  This value remains the calibration's fallback/default and
-#: the documented reference point.
+#: Tap count from which ``method="auto"`` takes the FFT convolution
+#: path (for signals longer than the kernel).  Measured on the reference
+#: interpreter (numpy 2.x, signals of 2k-32k samples): direct wins
+#: clearly through ~129 taps, the two trade places around 257, and FFT
+#: wins beyond.  Every kernel the published chain builds at clinical
+#: rates (the 33-tap ECG FIR, the 150 ms Pan-Tompkins integration
+#: window up to ~1.7 kHz) stays direct; longer kernels appear in the
+#: high-rate device modes and the resampler's anti-alias filters.  A
+#: fixed constant keeps the convolution path — and so every output bit
+#: — independent of the host.
 FFT_CROSSOVER_TAPS = 256
 
 
@@ -174,15 +170,21 @@ def _check_taps(taps) -> np.ndarray:
     return taps
 
 
+def _auto_method(n_taps: int, n_samples: int) -> str:
+    """``"fft"`` from :data:`FFT_CROSSOVER_TAPS` taps on, for signals
+    longer than the kernel; ``"direct"`` otherwise."""
+    if n_taps >= FFT_CROSSOVER_TAPS and n_samples > n_taps:
+        return "fft"
+    return "direct"
+
+
 def _resolve_method(method: str, taps: np.ndarray, x: np.ndarray) -> str:
     if method not in ("auto", "direct", "fft"):
         raise ConfigurationError(
             f"method must be 'auto', 'direct' or 'fft', got {method!r}")
     if method != "auto":
         return method
-    from repro.dsp.calibration import default_crossover_table
-
-    return default_crossover_table().resolve(taps.size, x.size)
+    return _auto_method(taps.size, x.size)
 
 
 def apply_fir(taps: np.ndarray, x, method: str = "auto") -> np.ndarray:
@@ -190,9 +192,10 @@ def apply_fir(taps: np.ndarray, x, method: str = "auto") -> np.ndarray:
 
     ``method`` selects the convolution path: ``"direct"``
     (``np.convolve``), ``"fft"`` (overlap-free single real FFT), or
-    ``"auto"`` (default) which switches to FFT above the measured
-    :data:`FFT_CROSSOVER_TAPS` crossover.  Both paths agree to
-    ~1e-13 relative accuracy (asserted at 1e-9 by the parity suite).
+    ``"auto"`` (default) which switches to FFT from
+    :data:`FFT_CROSSOVER_TAPS` taps on, for signals longer than the
+    kernel.  Both paths agree to ~1e-13 relative accuracy (asserted at
+    1e-9 by the parity suite).
     """
     x = _as_signal(x)
     taps = _check_taps(taps)
@@ -210,10 +213,7 @@ def _resolve_method_rows(method: str, taps: np.ndarray,
             f"method must be 'auto', 'direct' or 'fft', got {method!r}")
     if method != "auto":
         return [method] * lengths.size
-    from repro.dsp.calibration import default_crossover_table
-
-    table = default_crossover_table()
-    return [table.resolve(taps.size, int(n)) for n in lengths]
+    return [_auto_method(taps.size, int(n)) for n in lengths]
 
 
 def apply_fir_batch(taps: np.ndarray, x, lengths=None,

@@ -11,12 +11,13 @@ paper's ICG stage (zero-phase low-pass Butterworth, fc = 20 Hz):
 5. direct-form-II-transposed SOS filtering, steady-state initial
    conditions, and zero-phase forward-backward filtering.
 
-The test-suite validates every step against :mod:`scipy.signal`.
+The test-suite validates every step against :mod:`scipy.signal`, and
+the blocked-scan :func:`sosfilt` against the scalar per-sample loop
+kept in ``tests/oracles/``.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,6 @@ __all__ = [
     "sosfiltfilt",
     "sosfiltfilt_batch",
     "sos_frequency_response",
-    "set_sosfilt_backend",
-    "sosfilt_backend",
-    "use_sosfilt_backend",
 ]
 
 
@@ -325,44 +323,6 @@ def _check_sos(sos) -> np.ndarray:
     return sos
 
 
-#: Which ``sosfilt`` kernel runs: ``"vectorized"`` (blocked
-#: state-space scan, the default) or ``"reference"`` (the original
-#: per-sample scalar loop, kept as the correctness oracle).
-_SOSFILT_BACKENDS = ("vectorized", "reference")
-_sosfilt_backend = "vectorized"
-
-
-def set_sosfilt_backend(name: str) -> None:
-    """Select the ``sosfilt`` kernel implementation process-wide.
-
-    ``"vectorized"`` is the production kernel; ``"reference"`` forces
-    the scalar per-sample loop — the oracle the parity tests and the
-    perf-regression bench compare against.
-    """
-    global _sosfilt_backend
-    if name not in _SOSFILT_BACKENDS:
-        raise ConfigurationError(
-            f"unknown sosfilt backend {name!r}; "
-            f"choose from {_SOSFILT_BACKENDS}")
-    _sosfilt_backend = name
-
-
-def sosfilt_backend() -> str:
-    """The currently selected ``sosfilt`` kernel implementation."""
-    return _sosfilt_backend
-
-
-@contextlib.contextmanager
-def use_sosfilt_backend(name: str):
-    """Temporarily switch the ``sosfilt`` kernel (benches, tests)."""
-    previous = _sosfilt_backend
-    set_sosfilt_backend(name)
-    try:
-        yield
-    finally:
-        set_sosfilt_backend(previous)
-
-
 def _check_state(zi, n_sections: int) -> np.ndarray:
     state = (np.zeros((n_sections, 2)) if zi is None
              else np.array(zi, dtype=float))
@@ -371,33 +331,6 @@ def _check_state(zi, n_sections: int) -> np.ndarray:
             f"zi must have shape ({n_sections}, 2), got {state.shape}"
         )
     return state
-
-
-def _sosfilt_ref(sos, x, zi=None):
-    """Scalar reference SOS kernel (direct form II transposed).
-
-    The original per-sample Python loop, kept verbatim as the oracle
-    the vectorized kernel is validated against (and the baseline the
-    perf-regression bench measures speedups from).
-    """
-    sos = _check_sos(sos)
-    x = _as_signal(x)
-    n_sections = sos.shape[0]
-    state = _check_state(zi, n_sections)
-    y = x.copy()
-    for s in range(n_sections):
-        b0, b1, b2, _, a1, a2 = sos[s]
-        w0, w1 = state[s]
-        out = np.empty_like(y)
-        for n in range(y.size):
-            xn = y[n]
-            yn = b0 * xn + w0
-            w0 = b1 * xn - a1 * yn + w1
-            w1 = b2 * xn - a2 * yn
-            out[n] = yn
-        state[s, 0], state[s, 1] = w0, w1
-        y = out
-    return y if zi is None else (y, state)
 
 
 def _biquad_block(section: np.ndarray, x: np.ndarray, w0: float,
@@ -509,9 +442,9 @@ def sosfilt_batch(sos, x, zi=None, lengths=None):
     2)`` or one shared ``(n_sections, 2)`` state.  Returns ``y`` or
     ``(y, zf)`` with ``zf`` read off each row's own last valid
     samples.  Row ``i``'s first ``lengths[i]`` output samples are
-    bit-identical to ``sosfilt(sos, x[i, :lengths[i]], ...)`` under
-    the vectorized backend; columns beyond a row's length are
-    by-products of the stacked scan and must be masked by the caller.
+    bit-identical to ``sosfilt(sos, x[i, :lengths[i]], ...)``; columns
+    beyond a row's length are by-products of the stacked scan and must
+    be masked by the caller.
     """
     sos = _check_sos(sos)
     lengths = _check_lengths(x, lengths)
@@ -560,8 +493,8 @@ def sosfiltfilt_batch(sos, x, lengths=None) -> np.ndarray:
     clear the uniform pad (``3 * ntaps``); shorter rows would need
     per-row pad lengths and belong on the per-recording path.  Row
     ``i``'s first ``lengths[i]`` outputs are bit-identical to
-    ``sosfiltfilt(sos, x[i, :lengths[i]])`` under the vectorized
-    backend; columns beyond are unspecified.
+    ``sosfiltfilt(sos, x[i, :lengths[i]])``; columns beyond are
+    unspecified.
     """
     sos = _check_sos(sos)
     lengths = _check_lengths(x, lengths)
@@ -609,12 +542,10 @@ def sosfilt(sos, x, zi=None):
 
     Returns ``y`` or ``(y, zf)`` when initial conditions ``zi`` of shape
     ``(n_sections, 2)`` are supplied.  Runs the vectorized blocked-scan
-    kernel unless :func:`set_sosfilt_backend` selected the scalar
-    reference; both produce the same samples to ~1e-12 relative
-    accuracy (asserted at 1e-9 by the parity suite).
+    kernel, which matches the scalar per-sample reference loop in
+    ``tests/oracles/`` to ~1e-12 relative accuracy (asserted at 1e-9 by
+    the parity suite).
     """
-    if _sosfilt_backend == "reference":
-        return _sosfilt_ref(sos, x, zi=zi)
     return _sosfilt_vec(sos, x, zi=zi)
 
 

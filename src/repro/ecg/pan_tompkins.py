@@ -187,11 +187,6 @@ class PanTompkinsDetector:
                 "Pan-Tompkins needs at least two seconds of signal "
                 f"({int(2 * self.fs)} samples) in every row, got "
                 f"{int(lengths.min())}")
-        if _iir.sosfilt_backend() == "reference":
-            # The reference scalar kernel has no batched twin; keep
-            # parity with the oracle by running rows individually.
-            return [self.detect(x[i, :int(lengths[i])])
-                    for i in range(x.shape[0])]
         bandpassed = _iir.sosfilt_batch(self._sos, x, lengths=lengths)
         padded = np.concatenate(
             [np.repeat(bandpassed[:, :1], 4, axis=1), bandpassed], axis=1)

@@ -25,8 +25,6 @@ from repro.icg.points import (
     PointConfig,
     detect_all_points,
     detect_beat_points,
-    set_point_backend,
-    use_point_backend,
 )
 from repro.icg.preprocessing import (
     IcgFilterConfig,
@@ -40,8 +38,7 @@ __all__ = [
     "IcgFilterConfig", "lowpass", "highpass", "condition_icg",
     "icg_from_impedance",
     "PointConfig", "BeatPoints", "detect_beat_points", "detect_all_points",
-    "BeatLandmarks", "detect_all_points_batched", "set_point_backend",
-    "use_point_backend",
+    "BeatLandmarks", "detect_all_points_batched",
     "EnsembleConfig", "EnsembleBeat", "ensemble_average", "extract_beats",
     "SystolicIntervals", "systolic_intervals",
     "systolic_intervals_from_landmarks", "BeatHemodynamics",

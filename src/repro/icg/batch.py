@@ -91,7 +91,7 @@ class BeatLandmarks:
     @classmethod
     def from_points(cls, points) -> "BeatLandmarks":
         """Landmarks gathered from a ``list[BeatPoints]`` (used when
-        the reference backend produced the list)."""
+        the per-beat reference loop produced the list)."""
         return cls(
             r=np.array([p.r_index for p in points], dtype=np.int64),
             c=np.array([p.c_index for p in points], dtype=np.int64),

@@ -28,7 +28,6 @@ meaningless without polynomial smoothing.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,8 +42,6 @@ __all__ = [
     "detect_beat_points",
     "detect_all_points",
     "detect_all_landmarks",
-    "set_point_backend",
-    "use_point_backend",
 ]
 
 
@@ -300,47 +297,6 @@ def _first_zero_cross_left(d1: np.ndarray, start: int, stop: int,
     return None
 
 
-#: Active implementation of :func:`detect_all_points`: ``"batched"``
-#: (the vectorized beat-matrix kernels in :mod:`repro.icg.batch`,
-#: default) or ``"reference"`` (the original per-beat loop, kept as
-#: the parity oracle — the same pattern as the DSP layer's
-#: ``set_sosfilt_backend``).
-_POINT_BACKENDS = ("batched", "reference")
-_point_backend = "batched"
-
-
-def active_point_backend() -> str:
-    """The currently selected point-detection backend name."""
-    return _point_backend
-
-
-def set_point_backend(name: str) -> None:
-    """Select the point-detection implementation process-wide.
-
-    ``"batched"`` (default) runs the vectorized beat-matrix kernels of
-    :mod:`repro.icg.batch`; ``"reference"`` runs the original per-beat
-    loop.  Both produce bit-identical output — the reference exists as
-    the oracle the parity suite pins the batched path against.
-    """
-    global _point_backend
-    if name not in _POINT_BACKENDS:
-        raise ConfigurationError(
-            f"unknown point-detection backend {name!r}; "
-            f"choose from {_POINT_BACKENDS}")
-    _point_backend = name
-
-
-@contextmanager
-def use_point_backend(name: str):
-    """Temporarily select a point-detection backend (context manager)."""
-    previous = _point_backend
-    set_point_backend(name)
-    try:
-        yield
-    finally:
-        set_point_backend(previous)
-
-
 def _validate_all_points_args(r_indices, rt_intervals_s) -> tuple:
     r_indices = np.asarray(r_indices, dtype=int)
     if r_indices.ndim != 1 or r_indices.size < 2:
@@ -364,9 +320,9 @@ def detect_all_points(icg, fs: float, r_indices,
     ``(beat_number, reason)`` tuples for those that were not.  The last
     R peak only closes the final window; it does not start a beat.
 
-    Runs the beat-batched kernels of :mod:`repro.icg.batch` unless
-    :func:`set_point_backend` selected the per-beat reference loop;
-    the two are bit-identical (pinned by the batched-parity suite).
+    Runs the beat-batched kernels of :mod:`repro.icg.batch`, which are
+    bit-identical to the per-beat reference loop
+    :func:`_detect_all_points_ref` (pinned by the batched-parity suite).
     """
     points, failures, _ = detect_all_landmarks(icg, fs, r_indices,
                                                config, rt_intervals_s)
@@ -376,32 +332,27 @@ def detect_all_points(icg, fs: float, r_indices,
 def detect_all_landmarks(icg, fs: float, r_indices,
                          config: Optional[PointConfig] = None,
                          rt_intervals_s=None) -> tuple:
-    """Backend-dispatched detection with the landmark columns.
+    """Detection with the landmark columns.
 
     Returns ``(points, failures, landmarks)`` where ``landmarks`` is
     the :class:`~repro.icg.batch.BeatLandmarks` array twin of
-    ``points`` under the batched backend and ``None`` under the
-    reference backend (downstream consumers treat ``None`` as "take
-    the per-beat path").  The single dispatch point both
-    :func:`detect_all_points` and the pipeline's point-detection stage
-    go through, so validation and backend selection can never diverge.
+    ``points``.  The single entry point both :func:`detect_all_points`
+    and the pipeline's point-detection stage go through, so argument
+    validation can never diverge.
     """
+    from repro.icg.batch import detect_all_points_batched
+
     r_indices, rt_intervals_s = _validate_all_points_args(
         r_indices, rt_intervals_s)
-    if _point_backend == "batched":
-        from repro.icg.batch import detect_all_points_batched
-
-        return detect_all_points_batched(icg, fs, r_indices, config,
-                                         rt_intervals_s)
-    points, failures = _detect_all_points_ref(icg, fs, r_indices,
-                                              config, rt_intervals_s)
-    return points, failures, None
+    return detect_all_points_batched(icg, fs, r_indices, config,
+                                     rt_intervals_s)
 
 
 def _detect_all_points_ref(icg, fs: float, r_indices,
                            config: Optional[PointConfig] = None,
                            rt_intervals_s=None) -> tuple:
-    """The original per-beat loop — the batched path's parity oracle.
+    """The original per-beat loop — the batched path's parity oracle,
+    and its fallback for non-monotonic R indices.
 
     Inputs are assumed validated (see :func:`detect_all_points`).
     """

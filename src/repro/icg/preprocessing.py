@@ -186,11 +186,11 @@ def icg_from_impedance_batch(z_rows, fs: float, lengths=None,
     ``(z[L-1] - z[L-2]) / dx`` (the value ``np.gradient`` produces at
     a row's true end; a bitwise no-op for full-width rows).  The
     conditioning chain then runs through
-    :func:`repro.dsp.iir.sosfiltfilt_batch`, bit-identical per row
-    under the vectorized ``sosfilt`` backend.  Rows shorter than the
-    zero-phase pad raise :class:`~repro.errors.SignalError`; the
-    cohort planner routes those per-recording.  Columns beyond a
-    row's length are unspecified.
+    :func:`repro.dsp.iir.sosfiltfilt_batch`, bit-identical per row.
+    Rows shorter than the zero-phase pad raise
+    :class:`~repro.errors.SignalError`; the cohort planner routes
+    those per-recording.  Columns beyond a row's length are
+    unspecified.
     """
     from repro.dsp._signal import check_lengths as _check_lengths
 

@@ -28,6 +28,8 @@ then
 Damaged sessions are never silently repaired: they are quarantined by
 the scan, excluded from replay, and reported by id in the
 :class:`RecoveryResult` — the caller decides whether to re-measure.
+Complete sessions the pipeline rejects (a flatline ECG with too few R
+peaks, say) are reported the same way, in ``rejected``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from typing import Optional
 from repro.core.cache import FilterDesignCache
 from repro.core.config import PipelineConfig
 from repro.core.executor import process_batch
-from repro.errors import JournalError
+from repro.core.pipeline import BeatToBeatPipeline
+from repro.errors import JournalError, ReproError
 from repro.ingest.journal import (
     ChunkJournal,
     JournalScan,
@@ -102,12 +105,14 @@ class RecoveryResult:
     :class:`~repro.ingest.streaming.SessionResult` per session that
     could be finalized; ``open_sessions`` the ids still awaiting their
     trailer after the pass; ``damaged`` the quarantined sessions with
-    the scan's reason for each.
+    the scan's reason for each; ``rejected`` the complete sessions the
+    pipeline refused (e.g. too few R peaks) with its error message.
     """
 
     results: dict
     open_sessions: tuple = ()
     damaged: dict = field(default_factory=dict)
+    rejected: dict = field(default_factory=dict)
     n_records: int = 0
     torn_tail_recovered: bool = False
     unattributed_damage: int = 0
@@ -236,6 +241,25 @@ class RecoveryManager:
             segments_rewritten=tuple(rewritten),
             manifest_reset=manifest_reset)
 
+    def _finalize_each(self, recordings: dict) -> tuple:
+        """``({sid: result}, {sid: message})`` with every session run
+        alone through ``process_recording`` — the oracle every batch
+        backend is pinned to — so one session the pipeline rejects
+        cannot hold back the others."""
+        pipelines: dict = {}
+        finalized: dict = {}
+        rejected: dict = {}
+        for sid, recording in recordings.items():
+            fs = float(recording.fs)
+            try:
+                if fs not in pipelines:
+                    pipelines[fs] = BeatToBeatPipeline(
+                        fs, self.config, cache=self.cache)
+                finalized[sid] = pipelines[fs].process_recording(recording)
+            except ReproError as exc:
+                rejected[sid] = str(exc)
+        return finalized, rejected
+
     # -- the two entry points ---------------------------------------------
 
     def recover(self, n_workers: int = 1,
@@ -252,8 +276,10 @@ class RecoveryManager:
         and has no effect on ``"cohort"``.  Every backend is pinned
         bit-identical to per-recording ``process_recording``, the
         finalize live ingest runs, so results match the interrupted
-        run.  The first session in scan order that the pipeline
-        rejects raises its error and aborts the whole recovery.
+        run.  If the batch raises a :class:`~repro.errors.ReproError`,
+        each session is finalized alone instead and the ones the
+        pipeline rejects are reported in ``rejected``; every other
+        session still recovers.
 
         Open sessions are reported, not dropped — they stay journaled
         for a later :meth:`resume`.  Missing manifests of complete
@@ -269,25 +295,30 @@ class RecoveryManager:
             recording = assembler.add(chunk)
             if recording is not None:
                 recordings.append(recording)
-        finalized = process_batch(recordings, self.config,
-                                  n_jobs=n_workers, cache=self.cache,
-                                  backend=finalize_backend)
         # _replay yields complete sessions first, in scan order, so
         # their recordings line up with scan.complete.
+        by_session = dict(zip(scan.complete, recordings))
+        rejected: dict = {}
+        try:
+            finalized = dict(zip(by_session, process_batch(
+                recordings, self.config, n_jobs=n_workers,
+                cache=self.cache, backend=finalize_backend)))
+        except ReproError:
+            finalized, rejected = self._finalize_each(by_session)
         results = {
             sid: SessionResult(
-                session_id=sid, recording=recording, result=result,
-                n_chunks=len(chunks),
+                session_id=sid, recording=by_session[sid],
+                result=finalized[sid], n_chunks=len(chunks),
                 first_arrival_s=chunks[0].arrival_s,
                 last_arrival_s=chunks[-1].arrival_s)
-            for (sid, chunks), recording, result
-            in zip(scan.complete.items(), recordings, finalized)
+            for sid, chunks in scan.complete.items() if sid in finalized
         }
         backfill_manifests(self.directory, scan)
         return RecoveryResult(
             results=results,
             open_sessions=assembler.open_sessions,
             damaged=dict(scan.damaged),
+            rejected=rejected,
             n_records=scan.n_records,
             torn_tail_recovered=torn_recovered,
             unattributed_damage=scan.unattributed_damage,

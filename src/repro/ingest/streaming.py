@@ -174,10 +174,7 @@ class FinalizeDispatcher:
         the warm persistent process pool, a thread pool, or ``None``
         (inline finalize) for a single thread worker."""
         if self.backend == "process":
-            # Finalize jobs go through the warm persistent pool: the
-            # calibration snapshot rides with each submission (workers
-            # install it only on change), so streaming results stay
-            # bit-identical to the in-process batch path while
+            # Finalize jobs go through the warm persistent pool, so
             # back-to-back ingest runs reuse one worker fleet.
             return persistent_process_pool(n_workers)
         if n_workers == 1:

@@ -5,9 +5,9 @@ per-recording oracle, and the demotion/fallback lattice.
 calls; the acceptance criterion is that nothing observable changes —
 results arrive in input order, every array bit-identical to the serial
 loop, and the first failing recording raises the same error at the
-same input position.  The per-recording path stays available as the
-``"reference"`` cohort backend, which is the oracle every parity test
-here compares against.
+same input position.  Every parity test here compares against
+:func:`tests.oracles.per_recording`, a plain ``process_recording``
+loop.
 """
 
 import numpy as np
@@ -16,18 +16,16 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.cohort as cohort_mod
 from repro.core import (
-    BeatToBeatPipeline,
     FilterDesignCache,
     plan_cohort,
     process_batch,
     process_cohort,
-    use_cohort_backend,
 )
-from repro.core.cohort import MIN_GROUP_ROWS, cohort_backend, set_cohort_backend
-from repro.dsp import iir as _iir
+from repro.core.cohort import MIN_GROUP_ROWS
 from repro.errors import ConfigurationError, SignalError
 from repro.io import Recording
 from repro.synth import SynthesisConfig, default_cohort, synthesize_recording
+from tests.oracles import per_recording
 
 FS = 250.0
 
@@ -66,15 +64,7 @@ def pool():
 @pytest.fixture(scope="module")
 def oracle(pool):
     """Per-recording reference results, one pipeline per rate."""
-    pipelines = {}
-    results = []
-    for recording in pool:
-        fs = float(recording.fs)
-        if fs not in pipelines:
-            pipelines[fs] = BeatToBeatPipeline(
-                fs, cache=FilterDesignCache())
-        results.append(pipelines[fs].process_recording(recording))
-    return results
+    return per_recording(pool, cache=FilterDesignCache())
 
 
 def _assert_identical(got, want):
@@ -130,21 +120,6 @@ def test_plan_splits_oversized_groups_into_slabs():
         plan_cohort(recordings, max_group_rows=MIN_GROUP_ROWS - 1)
 
 
-# --- backend toggle ------------------------------------------------------
-
-def test_cohort_backend_toggle_and_validation():
-    assert cohort_backend() == "batched"
-    with use_cohort_backend("reference"):
-        assert cohort_backend() == "reference"
-    assert cohort_backend() == "batched"
-    with pytest.raises(ConfigurationError):
-        set_cohort_backend("gpu")
-    with pytest.raises(RuntimeError):
-        with use_cohort_backend("reference"):
-            raise RuntimeError("boom")
-    assert cohort_backend() == "batched"
-
-
 # --- parity with the per-recording oracle --------------------------------
 
 def test_cohort_bit_identical_to_serial(pool, oracle):
@@ -160,26 +135,6 @@ def test_process_batch_routes_cohort_backend(pool, oracle):
                             cache=FilterDesignCache())
     for got, want in zip(results, oracle):
         _assert_identical(got, want)
-
-
-def test_reference_cohort_backend_matches(pool, oracle):
-    with use_cohort_backend("reference"):
-        results = process_cohort(pool, cache=FilterDesignCache())
-    for got, want in zip(results, oracle):
-        _assert_identical(got, want)
-
-
-def test_cohort_falls_back_under_reference_sosfilt(pool):
-    """The batched IIR scan has no scalar twin: selecting the scalar
-    sosfilt reference must demote the whole cohort, not crash.  The
-    oracle is recomputed under the same kernel backend (the scalar
-    reference rounds differently from the vectorized scan)."""
-    with _iir.use_sosfilt_backend("reference"):
-        results = process_cohort(pool[:4], cache=FilterDesignCache())
-        with use_cohort_backend("reference"):
-            want = process_cohort(pool[:4], cache=FilterDesignCache())
-    for got, ref in zip(results, want):
-        _assert_identical(got, ref)
 
 
 def test_empty_and_singleton_cohorts(pool, oracle):
@@ -240,9 +195,8 @@ def test_row_failure_raises_at_input_position(pool):
     assert any(2 in g.indices for g in plan.groups)  # batched, not demoted
     with pytest.raises(SignalError) as batched_err:
         process_cohort(recordings, cache=FilterDesignCache())
-    with use_cohort_backend("reference"):
-        with pytest.raises(SignalError) as serial_err:
-            process_cohort(recordings, cache=FilterDesignCache())
+    with pytest.raises(SignalError) as serial_err:
+        per_recording(recordings, cache=FilterDesignCache())
     assert str(batched_err.value) == str(serial_err.value)
     assert "fewer than two R peaks" in str(batched_err.value)
 
@@ -268,6 +222,5 @@ def test_pipeline_construction_errors_surface_first(pool):
     recordings = [pool[0], _make_recording(fs=20.0, n=2250)]
     with pytest.raises(ConfigurationError):
         process_cohort(recordings, cache=FilterDesignCache())
-    with use_cohort_backend("reference"):
-        with pytest.raises(ConfigurationError):
-            process_cohort(recordings, cache=FilterDesignCache())
+    with pytest.raises(ConfigurationError):
+        per_recording(recordings, cache=FilterDesignCache())

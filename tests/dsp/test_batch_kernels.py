@@ -244,18 +244,6 @@ def test_detect_batch_bitwise_parity_ragged():
         assert np.array_equal(detector.detect(s), batched[i])
 
 
-def test_detect_batch_reference_backend_falls_back():
-    """With the scalar sosfilt reference selected there is no batched
-    IIR twin; detect_batch must still answer, via the per-row path."""
-    signals = [synth_ecg(n, 40 + i) for i, n in enumerate([600, 550])]
-    x, lengths = stack_ragged(signals)
-    detector = PanTompkinsDetector(FS)
-    with _iir.use_sosfilt_backend("reference"):
-        batched = detector.detect_batch(x, lengths=lengths)
-        for i, s in enumerate(signals):
-            assert np.array_equal(detector.detect(s), batched[i])
-
-
 def test_detect_batch_rejects_short_rows():
     x, lengths = stack_ragged([np.zeros(600), np.zeros(300)])
     with pytest.raises(SignalError):

@@ -27,12 +27,10 @@ from repro.icg.hemodynamics import (
 from repro.icg.points import (
     PointConfig,
     _detect_all_points_ref,
-    active_point_backend,
     detect_all_points,
-    set_point_backend,
-    use_point_backend,
 )
 from repro.synth import SynthesisConfig, default_cohort, synthesize_recording
+from tests.oracles import reference_pipeline
 
 FS = 250.0
 
@@ -183,24 +181,15 @@ def test_batched_matches_reference_on_random_inputs(case):
     assert (points, failures) == ref
 
 
-# --- dispatcher / backend toggle -----------------------------------------
+# --- public entry point ---------------------------------------------------
 
 def test_detect_all_points_dispatches_by_backend():
+    """The public entry point runs the batched kernels and answers
+    exactly what the per-beat reference loop answers."""
     icg, r_peaks = conditioned(0)
-    assert active_point_backend() == "batched"
     batched = detect_all_points(icg, FS, r_peaks)
-    with use_point_backend("reference"):
-        assert active_point_backend() == "reference"
-        reference = detect_all_points(icg, FS, r_peaks)
-    assert active_point_backend() == "batched"
+    reference = _detect_all_points_ref(icg, FS, np.asarray(r_peaks, int))
     assert batched == reference
-
-
-def test_set_point_backend_rejects_unknown():
-    from repro.errors import ConfigurationError
-
-    with pytest.raises(ConfigurationError):
-        set_point_backend("simd")
 
 
 # --- batched hemodynamics -------------------------------------------------
@@ -245,17 +234,21 @@ def test_estimate_series_raises_like_per_beat_loop():
         estimator.estimate_series(landmarks, broken)
 
 
-def test_full_pipeline_identical_across_backends():
+@pytest.mark.parametrize("fs", [250.0, 500.0])
+def test_full_pipeline_identical_across_backends(fs):
     """End to end: the production (batched) chain equals the reference
-    chain bit for bit, including per-beat hemodynamics."""
+    chain (per-beat point loop, hence per-beat hemodynamics) bit for
+    bit — at the protocol rate and at the 500 Hz the recovery
+    benchmark's fleet records at."""
     subject = default_cohort()[0]
     recording = synthesize_recording(
-        subject, "device", 1, SynthesisConfig(duration_s=12.0, fs=FS))
+        subject, "device", 1, SynthesisConfig(duration_s=12.0, fs=fs))
     config = PipelineConfig(height_cm=180.0)
-    pipe = BeatToBeatPipeline(FS, config, cache=FilterDesignCache())
-    batched = pipe.process_recording(recording)
-    with use_point_backend("reference"):
-        reference = pipe.process_recording(recording)
+    cache = FilterDesignCache()
+    batched = BeatToBeatPipeline(fs, config, cache=cache) \
+        .process_recording(recording)
+    reference = reference_pipeline(fs, config, cache=cache) \
+        .process_recording(recording)
     assert batched.points == reference.points
     assert batched.failures == reference.failures
     assert np.array_equal(batched.pep_s, reference.pep_s)

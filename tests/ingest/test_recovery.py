@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.io import Recording
 from repro.ingest import (
     ChunkJournal,
     DeviceFleet,
@@ -194,6 +195,46 @@ def test_batch_recover_equals_streaming_replay(mixed_rate_journal,
     _assert_same(outcome.results, want)
     assert outcome.open_sessions == replay.last_open_sessions
     assert outcome.open_sessions == tuple(sorted(scan.open))
+
+
+# -- sessions the pipeline rejects ---------------------------------------
+
+
+def _flatline_chunks(session_id, fs=250.0, duration_s=8.0):
+    """A complete session whose ECG holds no R peak, so the pipeline
+    rejects it ("fewer than two R peaks")."""
+    n = int(duration_s * fs)
+    recording = Recording(fs=fs, signals={"ecg": np.zeros(n),
+                                          "z": np.full(n, 25.0)})
+    return list(chunk_recording(recording, session_id, chunk_s=2.0))
+
+
+@pytest.mark.parametrize("backend", ["cohort", "thread"])
+def test_recover_reports_a_rejected_session_and_finalizes_the_rest(
+        tmp_path, backend):
+    """A flatline session among good ones is reported in ``rejected``;
+    every other session recovers bit-identically to a recovery of the
+    same journal without it."""
+    good = list(DeviceFleet(FleetConfig(n_devices=3, duration_s=8.0,
+                                        chunk_s=2.0, seed=5)))
+    with ChunkJournal(tmp_path / "with") as journal:
+        for chunk in good[:1] + _flatline_chunks("flatline") + good[1:]:
+            journal.append(chunk)
+    with ChunkJournal(tmp_path / "without") as journal:
+        for chunk in good:
+            journal.append(chunk)
+
+    manager = RecoveryManager(tmp_path / "with")
+    order = list(manager.scan().complete)
+    assert 0 < order.index("flatline") < len(order) - 1   # among good ones
+    want = RecoveryManager(tmp_path / "without").recover(
+        finalize_backend=backend)
+    outcome = manager.recover(finalize_backend=backend)
+    assert list(outcome.rejected) == ["flatline"]
+    assert "fewer than two R peaks" in outcome.rejected["flatline"]
+    assert not outcome.damaged and not outcome.open_sessions
+    assert len(want.results) == 3 and not want.rejected
+    _assert_same(outcome.results, want.results)
 
 
 # -- dropout + journal completion ----------------------------------------

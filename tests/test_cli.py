@@ -269,6 +269,43 @@ def test_recover_json_damage_counts_and_exit_code(tmp_path, capsys):
     assert payload["damage"]["crc_mismatch"] == 1
 
 
+def test_recover_reports_rejected_session_with_exit_code(tmp_path,
+                                                         capsys):
+    """A complete session the pipeline rejects is named, with its
+    reason, in both report forms, and the exit code is 1; the other
+    sessions still recover."""
+    import json
+
+    import numpy as np
+
+    from repro.ingest import ChunkJournal, chunk_recording
+    from repro.io import Recording
+
+    journal = tmp_path / "journal"
+    _journaled_ingest(journal)
+    capsys.readouterr()
+    flat = Recording(fs=250.0, signals={"ecg": np.zeros(2000),
+                                        "z": np.full(2000, 25.0)})
+    with ChunkJournal(journal) as writer:
+        for chunk in chunk_recording(flat, "flatline"):
+            writer.append(chunk)
+
+    code = cli.main(["recover", str(journal)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "Recovered 2 session(s)" in out
+    assert "REJECTED flatline: fewer than two R peaks" in out
+
+    code = cli.main(["recover", "--json", str(journal)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1 and payload["exit_code"] == 1
+    assert payload["sessions"]["flatline"]["verdict"] == "rejected"
+    assert "fewer than two R peaks" in \
+        payload["sessions"]["flatline"]["reason"]
+    verdicts = [s["verdict"] for s in payload["sessions"].values()]
+    assert verdicts.count("recovered") == 2
+
+
 def test_recover_json_sessions_match_across_backends(tmp_path, capsys):
     """The default cohort backend reports exactly what the thread
     backend does: same sessions, verdicts, chunk counts and payloads."""
