@@ -8,8 +8,7 @@ backend.  This bench measures recordings/sec for
 * ``serial-cold``   — one pipeline per recording, each with a fresh
   design cache (the pre-refactor cost model);
 * ``serial-warm``   — one shared cache, serial loop;
-* ``batch-threads`` — the executor with ``n_jobs`` worker threads;
-* ``batch-process`` — the executor over a process pool;
+* ``batch-process`` — the executor over ``n_jobs`` worker processes;
 * the filtering kernel layer and the full pipeline under the scalar
   reference kernels vs the vectorized ones (via
   :mod:`perf_regression`, the shared measurement harness).
@@ -68,24 +67,17 @@ def test_batch_throughput(benchmark, results_dir):
     assert warm_cache.misses == designs_after_first, \
         "filters were re-designed on a repeated (fs, config) run"
 
-    batch_results, batch_s = _timed(
-        lambda: benchmark.pedantic(
-            lambda: process_batch(recordings, n_jobs=N_JOBS,
-                                  cache=warm_cache),
-            rounds=1, iterations=1))
     process_results, process_s = _timed(
-        lambda: process_batch(recordings, n_jobs=N_JOBS,
-                              backend="process"))
+        lambda: benchmark.pedantic(
+            lambda: process_batch(recordings, n_jobs=N_JOBS),
+            rounds=1, iterations=1))
 
-    # Parallel fan-out — threads or processes — is bit-identical to
-    # the serial loop.
-    for serial, threaded, forked in zip(cold_results, batch_results,
-                                        process_results):
-        for parallel in (threaded, forked):
-            assert np.array_equal(serial.r_peak_indices,
-                                  parallel.r_peak_indices)
-            assert np.array_equal(serial.pep_s, parallel.pep_s)
-            assert np.array_equal(serial.icg, parallel.icg)
+    # The process fan-out is bit-identical to the serial loop.
+    for serial, forked in zip(cold_results, process_results):
+        assert np.array_equal(serial.r_peak_indices,
+                              forked.r_peak_indices)
+        assert np.array_equal(serial.pep_s, forked.pep_s)
+        assert np.array_equal(serial.icg, forked.icg)
 
     # The vectorized kernels match the scalar oracle on real pipeline
     # output and clear the >= 5x bar on the filtering layer.
@@ -111,9 +103,7 @@ def test_batch_throughput(benchmark, results_dir):
                                          cohort=(recordings, duration))
     trajectory["batch"] = {
         "serial_rec_per_s": n / warm_s,
-        "threads_rec_per_s": n / batch_s,
         "process_rec_per_s": n / process_s,
-        "thread_scaling": warm_s / batch_s,
         "process_scaling": warm_s / process_s,
     }
     assert trajectory["kernels"]["speedup"] >= 5.0, \
@@ -125,7 +115,6 @@ def test_batch_throughput(benchmark, results_dir):
         "n_jobs": N_JOBS,
         "serial_cold": {"seconds": cold_s, "rec_per_s": n / cold_s},
         "serial_warm": {"seconds": warm_s, "rec_per_s": n / warm_s},
-        "batch_threads": {"seconds": batch_s, "rec_per_s": n / batch_s},
         "batch_process": {"seconds": process_s,
                           "rec_per_s": n / process_s},
         "cache": warm_cache.stats(),

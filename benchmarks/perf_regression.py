@@ -9,8 +9,8 @@ Measures, for a synthetic cohort, recordings/sec of
 * the *end-to-end pipeline* under the full-scalar chain (reference
   sosfilt + reference per-beat point detection) vs the full-vectorized
   one (blocked SOS scan + beat-batched landmark kernels);
-* the *batch executor* serially, over threads and over processes —
-  the process figures ride the shared-memory data plane, whose
+* the *batch executor* serially and over the process pool — the
+  process figures ride the shared-memory data plane, whose
   descriptor-vs-bytes IPC accounting lands in the summary
   (``batch.ipc``) and the rendered table;
 * the *streaming ingest path*: an 8-device simulated fleet through
@@ -111,7 +111,6 @@ from tests.oracles import (                                # noqa: E402
 GATED_METRICS = (
     "kernels.vectorized_rec_per_s",
     "pipeline.vectorized_rec_per_s",
-    "batch.threads_rec_per_s",
     "batch.process_rec_per_s",
     "streaming.rec_per_s",
     "cohort.rec_per_s_1000",
@@ -297,8 +296,7 @@ def filter_workload(recording, cache: FilterDesignCache,
 
 
 def measure_streaming(quick: bool = False,
-                      n_devices: int = STREAM_DEVICES,
-                      n_workers: int = 4) -> dict:
+                      n_devices: int = STREAM_DEVICES) -> dict:
     """Streaming-ingest throughput: the N-device fleet vs the serial
     batch over the same chunk stream.
 
@@ -324,8 +322,9 @@ def measure_streaming(quick: bool = False,
     counters record peak depth/bytes and how often the producer hit
     backpressure (``put`` blocks at the bound, so the peak can never
     exceed it; ``blocked_puts`` shows the bound actually engaging).
-    Finalize workers are clamped to 1 on single-CPU hosts (extra
-    threads only add switching there).
+    Sessions finalize inline in the drain loop (``n_workers=1``, the
+    executor's default and the configuration of the committed
+    ``BENCH_PR8.json`` baseline).
     """
     # The streaming/serial delta is ~1 %; garbage left over from the
     # kernel/batch sections must not tilt the comparison.
@@ -340,8 +339,6 @@ def measure_streaming(quick: bool = False,
                                     chunk_s=4.0, seed=2016))
     recordings = [fleet.synthesize(device) for device in fleet.devices]
     cache = FilterDesignCache()
-    if (os.cpu_count() or 1) == 1:
-        n_workers = 1
     serial_batch_s = timer(
         lambda: process_batch(recordings, n_jobs=1, cache=cache),
         repeats=3)
@@ -367,8 +364,7 @@ def measure_streaming(quick: bool = False,
     # The two sides are measured interleaved, pairwise, so slow drift
     # (thermals, container neighbours) cancels out of the ratio
     # instead of penalising whichever side runs later.
-    executor = StreamingExecutor(n_workers=n_workers,
-                                 max_chunks=max_chunks, cache=cache,
+    executor = StreamingExecutor(max_chunks=max_chunks, cache=cache,
                                  preview=False)
     serial_times, stream_times = [], []
     for _ in range(stream_repeats):
@@ -390,15 +386,14 @@ def measure_streaming(quick: bool = False,
     stats = executor.last_queue_stats.as_dict()
     # The live per-chunk causal view is extra work the batch path
     # simply does not offer; its throughput is reported alongside.
-    with_preview = StreamingExecutor(n_workers=n_workers,
-                                     max_chunks=max_chunks,
+    with_preview = StreamingExecutor(max_chunks=max_chunks,
                                      cache=cache, preview=True)
     preview_s = timer(lambda: with_preview.run(fleet), repeats=2)
     return {
         "n_devices": n_devices,
         "duration_s_each": duration,
         "total_recording_s": fleet.total_recording_s,
-        "n_workers": n_workers,
+        "n_workers": executor.n_workers,
         "max_chunks": max_chunks,
         "rec_per_s": n_devices / stream_s,
         "preview_rec_per_s": n_devices / preview_s,
@@ -605,9 +600,13 @@ def measure_cohort(quick: bool = False) -> dict:
     tier, both over identical inputs and a shared warm design cache.
 
     The gated ratio (``speedup_1000``) divides two noisy timings, so
-    both sides of the 10^3 point use the median-of-3 estimator; only
-    the full-mode 10^4 serial run — whole tens of seconds — drops to
-    a single sample (its ratio is recorded, not gated).
+    the serial and cohort samples are taken interleaved, pairwise (as
+    in :func:`measure_streaming`): slow drift on the host then hits
+    both sides of a pair alike and cancels out of its ratio.  Each
+    ``speedup_*`` is the median of the per-pair ratios and each rec/s
+    figure the median of its side's samples, over 3 pairs; only the
+    full-mode 10^4 point — whole tens of seconds per serial run —
+    drops to a single pair (its ratio is recorded, not gated).
     """
     import gc
     gc.collect()
@@ -628,15 +627,19 @@ def measure_cohort(quick: bool = False) -> dict:
     }
     for size in sizes:
         recordings = [base[i % len(base)] for i in range(size)]
-        serial_s = timed_seconds(
-            lambda: _run_cohort_reference(recordings, cache),
-            repeats=3 if size <= 1000 else 1)
-        cohort_s = timed_seconds(
-            lambda: process_cohort(recordings, cache=cache),
-            repeats=1 if size >= 10000 else 3)
-        summary[f"serial_rec_per_s_{size}"] = size / serial_s
-        summary[f"rec_per_s_{size}"] = size / cohort_s
-        summary[f"speedup_{size}"] = serial_s / cohort_s
+        serial_times, cohort_times = [], []
+        for _ in range(3 if size <= 1000 else 1):
+            start = time.perf_counter()
+            _run_cohort_reference(recordings, cache)
+            serial_times.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            process_cohort(recordings, cache=cache)
+            cohort_times.append(time.perf_counter() - start)
+        summary[f"serial_rec_per_s_{size}"] = size / median_of(serial_times)
+        summary[f"rec_per_s_{size}"] = size / median_of(cohort_times)
+        summary[f"speedup_{size}"] = median_of(
+            [serial / cohort
+             for serial, cohort in zip(serial_times, cohort_times)])
     # The scaling-curve gate: throughput at 10^3 over throughput at
     # 10^2.  >= 1 means batching keeps amortising as cohorts grow;
     # the floor allows 20 % measurement noise but catches a collapse.
@@ -725,13 +728,9 @@ def measure(quick: bool = False, n_jobs: int = 4,
     }
 
     if include_batch:
-        # -- batch executor: serial vs threads vs processes -------------
+        # -- batch executor: serial vs processes --------------------------
         serial_s = timer(
             lambda: process_batch(recordings, config, n_jobs=1,
-                                  cache=cache),
-            repeats=2)
-        threads_s = timer(
-            lambda: process_batch(recordings, config, n_jobs=n_jobs,
                                   cache=cache),
             repeats=2)
         # Cold vs warm fan-out: the first process_batch after a pool
@@ -741,16 +740,13 @@ def measure(quick: bool = False, n_jobs: int = 4,
         # and the cold/warm *gap* is the figure of interest.
         shutdown_persistent_pool()
         start = time.perf_counter()
-        process_batch(recordings, config, n_jobs=n_jobs,
-                      backend="process")
+        process_batch(recordings, config, n_jobs=n_jobs)
         process_cold_s = time.perf_counter() - start
         start = time.perf_counter()
-        process_batch(recordings, config, n_jobs=n_jobs,
-                      backend="process")
+        process_batch(recordings, config, n_jobs=n_jobs)
         process_warm_s = time.perf_counter() - start
         process_s = timer(
-            lambda: process_batch(recordings, config, n_jobs=n_jobs,
-                                  backend="process"),
+            lambda: process_batch(recordings, config, n_jobs=n_jobs),
             repeats=2)
         ipc = last_ipc_stats()
 
@@ -767,14 +763,11 @@ def measure(quick: bool = False, n_jobs: int = 4,
                                   cache=cache),
             repeats=2)
         process_scaled_s = timer(
-            lambda: process_batch(scaled, config, n_jobs=n_jobs,
-                                  backend="process"),
+            lambda: process_batch(scaled, config, n_jobs=n_jobs),
             repeats=2)
         summary["batch"] = {
             "serial_rec_per_s": n / serial_s,
-            "threads_rec_per_s": n / threads_s,
             "process_rec_per_s": n / process_s,
-            "thread_scaling": serial_s / threads_s,
             "process_scaling": serial_scaled_s / process_scaled_s,
             "process_scaling_n_recordings": len(scaled),
             "process_cold_s": process_cold_s,
@@ -792,8 +785,7 @@ def measure(quick: bool = False, n_jobs: int = 4,
         }
 
     if include_streaming:
-        summary["streaming"] = measure_streaming(quick,
-                                                 n_workers=n_jobs)
+        summary["streaming"] = measure_streaming(quick)
 
     if include_cohort_tier:
         summary["cohort"] = measure_cohort(quick)
@@ -872,7 +864,6 @@ def render(summary: dict) -> str:
         f" | vectorized {p['vectorized_rec_per_s']:8.1f} rec/s"
         f" | speedup {p['speedup']:5.1f}x",
         f"  batch executor : serial {b['serial_rec_per_s']:8.1f} rec/s"
-        f" | threads {b['threads_rec_per_s']:8.1f} rec/s"
         f" | processes {b['process_rec_per_s']:8.1f} rec/s"
         f" | scaling {b['process_scaling']:4.2f}x",
     ]

@@ -26,7 +26,7 @@ def main() -> None:
     fleet = DeviceFleet(FleetConfig(n_devices=6, duration_s=12.0,
                                     chunk_s=1.5, stagger_s=4.0,
                                     seed=2016))
-    executor = StreamingExecutor(n_workers=2, max_chunks=16)
+    executor = StreamingExecutor(n_workers=1, max_chunks=16)
 
     print("Streaming 6 simulated touch devices (12 s each, 1.5 s "
           "chunks, queue bound 16 chunks)")

@@ -7,10 +7,10 @@ want:
 * ``measure`` — one touch measurement for a cohort subject, reporting
   the paper's payload (Z0, LVET, PEP, HR);
 * ``cohort`` — batch-measure every cohort subject through the parallel
-  executor (``--jobs``/``--backend``) and print one payload row per
-  subject;
-* ``study`` — run the evaluation protocol (optionally with ``--jobs``/
-  ``--backend`` fan-out) and print Tables II-IV plus the figure
+  executor (``--jobs > 1`` fans out over processes) and print one
+  payload row per subject;
+* ``study`` — run the evaluation protocol (optionally with a ``--jobs``
+  process fan-out) and print Tables II-IV plus the figure
   series; ``--shards K --shard-index i --out shard.npz`` runs one
   machine's slice instead and writes the shard artifact;
 * ``merge`` — merge shard artifacts back into the full study report;
@@ -48,7 +48,7 @@ want:
 * ``monitor`` — a simulated CHF decompensation course with alerts;
 * ``cache-stats`` — exercise a small cohort and report the filter-
   design and DSP-kernel cache hit rates (capacity planning);
-  ``--backend process`` additionally reports each worker's
+  ``--jobs > 1`` additionally reports each pool worker's
   process-local rebuild counts.
 
 Run ``python -m repro.cli <command> --help`` for options.
@@ -67,14 +67,14 @@ import numpy as np
 from repro.core import BeatToBeatPipeline, process_batch
 from repro.core.cache import cache_statistics
 from repro.core.executor import (
-    BACKENDS,
     BATCH_BACKENDS,
     last_ipc_stats,
     persistent_pool_stats,
     process_worker_cache_stats,
+    will_parallelize,
 )
 from repro.device.power import PowerBudget, battery_life_hours, paper_operating_point
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments import (
     ProtocolConfig,
     StudyShard,
@@ -154,10 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     cohort.add_argument("--duration", type=float, default=30.0,
                         help="recording length in seconds")
     cohort.add_argument("--jobs", type=int, default=1,
-                        help="workers (-1 = one per CPU)")
-    cohort.add_argument("--backend", default="thread", choices=BACKENDS,
-                        help="fan-out backend: threads share one design "
-                             "cache, processes scale with cores")
+                        help="worker processes (-1 = one per CPU)")
 
     study = commands.add_parser(
         "study", help="run the evaluation protocol (Tables II-IV, "
@@ -165,10 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--quick", action="store_true",
                        help="reduced protocol (12 s, 2 frequencies)")
     study.add_argument("--jobs", type=int, default=1,
-                       help="workers (-1 = one per CPU)")
-    study.add_argument("--backend", default="thread", choices=BACKENDS,
-                       help="fan-out backend: threads share one design "
-                            "cache, processes scale with cores")
+                       help="worker processes (-1 = one per CPU)")
     study.add_argument("--shards", type=int, default=1,
                        help="total shard count of a distributed run")
     study.add_argument("--shard-index", type=int, default=0,
@@ -192,10 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="recording length per device, seconds")
     ingest.add_argument("--chunk", type=float, default=2.0,
                         help="chunk length a device transmits, seconds")
-    ingest.add_argument("--jobs", type=int, default=2,
-                        help="finalize-pool workers")
-    ingest.add_argument("--backend", default="thread", choices=BACKENDS,
-                        help="finalize backend (as in process_batch)")
+    ingest.add_argument("--jobs", type=int, default=1,
+                        help="finalize workers (1 = inline, more = "
+                             "worker processes)")
     ingest.add_argument("--max-chunks", type=int, default=64,
                         help="queue bound: buffered chunks before the "
                              "producer blocks (backpressure)")
@@ -254,10 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dropped sessions never reconnect (they "
                             "stay open in the journal for the next "
                             "boot)")
-    serve.add_argument("--jobs", type=int, default=2,
-                       help="finalize-pool workers")
-    serve.add_argument("--backend", default="thread", choices=BACKENDS,
-                       help="finalize backend (as in process_batch)")
+    serve.add_argument("--jobs", type=int, default=1,
+                       help="finalize workers (1 = inline, more = "
+                            "worker processes)")
     serve.add_argument("--max-chunks", type=int, default=64,
                        help="queue bound; also the denominator of the "
                             "overload ladder's pressure signal")
@@ -275,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--finalize-timeout", type=float, default=None,
                        help="quarantine a session whose finalize runs "
                             "longer than this many seconds (default: "
-                            "disabled)")
+                            "disabled; needs --jobs >= 2)")
     serve.add_argument("--retries", type=int, default=2,
                        help="attempts per transient fault before a "
                             "session is quarantined")
@@ -299,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                                          "previous `repro ingest "
                                          "--journal` wrote")
     recover.add_argument("--jobs", type=int, default=1,
-                         help="finalize workers (thread/process "
-                              "backends only)")
+                         help="finalize workers (process backend "
+                              "only)")
     recover.add_argument("--backend", default="cohort",
                          choices=BATCH_BACKENDS,
                          help="batch finalize backend (as in "
@@ -356,13 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "after a sample cohort run")
     cache_stats.add_argument("--duration", type=float, default=10.0,
                              help="seconds per sample recording")
-    cache_stats.add_argument("--backend", default="thread",
-                             choices=BACKENDS,
-                             help="process: also report each pool "
+    cache_stats.add_argument("--jobs", type=int, default=2,
+                             help="worker processes for the sample "
+                                  "batch; above 1 also reports each "
                                   "worker's process-local rebuild "
                                   "counts")
-    cache_stats.add_argument("--jobs", type=int, default=2,
-                             help="workers for the sample batch")
 
     monitor = commands.add_parser(
         "monitor", help="simulated CHF decompensation course")
@@ -402,8 +392,7 @@ def _cmd_cohort(args) -> int:
         synthesize_recording(subject, args.setup, args.position, config)
         for subject in cohort
     ]
-    results = process_batch(recordings, n_jobs=args.jobs,
-                            backend=args.backend)
+    results = process_batch(recordings, n_jobs=args.jobs)
     print(render_batch_summary(
         results,
         labels=[f"Subject {subject.subject_id}" for subject in cohort],
@@ -456,7 +445,7 @@ def _cmd_study(args) -> int:
             return 2
         shard = run_study_shard(config=config, n_shards=args.shards,
                                 shard_index=args.shard_index,
-                                n_jobs=args.jobs, backend=args.backend)
+                                n_jobs=args.jobs)
         path = save_shard(shard, args.out)
         print(f"Shard {args.shard_index}/{args.shards}: "
               f"{shard.n_jobs_done} of {shard.n_jobs_total} protocol "
@@ -478,8 +467,7 @@ def _cmd_study(args) -> int:
           f"{len(config.positions)} positions, "
           f"{len(config.frequencies_hz)} frequencies, "
           f"{config.duration_s:.0f} s each ...")
-    study = run_study(config=config, n_jobs=args.jobs,
-                      backend=args.backend)
+    study = run_study(config=config, n_jobs=args.jobs)
     _render_study(study, config)
     if args.out:
         shard = StudyShard(
@@ -529,7 +517,6 @@ def _cmd_ingest(args) -> int:
                else ChunkJournal(args.journal,
                                  segment_records=args.segment_records))
     executor = StreamingExecutor(n_workers=args.jobs,
-                                 finalize_backend=args.backend,
                                  max_chunks=args.max_chunks,
                                  journal=journal)
     rounds = (f", {args.rounds} rounds" if args.rounds > 1 else "")
@@ -570,20 +557,24 @@ def _cmd_serve(args) -> int:
                                     round_gap_s=args.gap,
                                     dropout=args.dropout,
                                     rejoin=not args.no_rejoin))
-    daemon = ServeDaemon(
-        args.journal,
-        n_workers=args.jobs,
-        finalize_backend=args.backend,
-        max_chunks=args.max_chunks,
-        durability=args.durability,
-        segment_records=args.segment_records,
-        deadline=DeadlinePolicy(chunk_deadline_s=args.deadline,
-                                finalize_timeout_s=args.finalize_timeout),
-        retry=RetryPolicy(max_attempts=args.retries),
-        gc_interval_s=args.gc_interval,
-        archive_dir=args.archive_dir,
-        archive_interval_s=args.archive_interval,
-        health=not args.no_health)
+    try:
+        daemon = ServeDaemon(
+            args.journal,
+            n_workers=args.jobs,
+            max_chunks=args.max_chunks,
+            durability=args.durability,
+            segment_records=args.segment_records,
+            deadline=DeadlinePolicy(
+                chunk_deadline_s=args.deadline,
+                finalize_timeout_s=args.finalize_timeout),
+            retry=RetryPolicy(max_attempts=args.retries),
+            gc_interval_s=args.gc_interval,
+            archive_dir=args.archive_dir,
+            archive_interval_s=args.archive_interval,
+            health=not args.no_health)
+    except ConfigurationError as exc:     # a flag combination, not a fault
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     def drain(_signum, _frame):
         # Graceful shutdown: stop admitting, finish what is buffered
@@ -811,23 +802,22 @@ def _render_cache_table(stats: dict, indent: str = "  ") -> None:
 def _cmd_cache_stats(args) -> int:
     """Run a small cohort through the shared caches and report their
     hit/miss counters — the capacity-planning numbers (how much design
-    work a warm process saves per recording).  Under
-    ``--backend process`` the pool workers' process-local caches are
-    invisible to this process, so each worker ships a snapshot home
-    with its job batch and the per-worker rebuild counts (misses) are
-    reported too."""
+    work a warm process saves per recording).  With ``--jobs > 1`` the
+    pool workers' process-local caches are invisible to this process,
+    so each worker ships a snapshot home with its job batch and the
+    per-worker rebuild counts (misses) are reported too."""
     cohort = default_cohort()
     config = SynthesisConfig(duration_s=args.duration)
     recordings = [
         synthesize_recording(subject, "device", 1, config)
         for subject in cohort
     ]
-    process_batch(recordings, n_jobs=args.jobs, backend=args.backend)
-    process_batch(recordings, n_jobs=args.jobs, backend=args.backend)
+    process_batch(recordings, n_jobs=args.jobs)
+    process_batch(recordings, n_jobs=args.jobs)
     print(f"Cache statistics after 2 x {len(recordings)} recordings "
-          f"({args.duration:.0f} s each, backend={args.backend}):")
+          f"({args.duration:.0f} s each, jobs={args.jobs}):")
     _render_cache_table(cache_statistics())
-    if args.backend == "process":
+    if will_parallelize(args.jobs, len(recordings)):
         workers = process_worker_cache_stats()
         print(f"Per-worker process-local caches ({len(workers)} "
               f"worker(s), rebuilds = misses):")
@@ -844,9 +834,8 @@ def _cmd_cache_stats(args) -> int:
                   f"(legacy pickle plane: "
                   f"{stats.legacy_bytes / 1024:.1f} KiB)")
         pool = persistent_pool_stats()
-        state = ("disabled" if not pool["enabled"] else
-                 f"{pool['n_workers']} worker(s), pids "
-                 f"{pool['pids']}" if pool["n_workers"] else "cold")
+        state = (f"{pool['n_workers']} worker(s), pids {pool['pids']}"
+                 if pool["n_workers"] else "cold")
         print("Warm process pool (persistent across fan-outs):")
         print(f"  {pool['created']} built / {pool['reused']} reused "
               f"| {state}")

@@ -15,7 +15,7 @@ hashable, so the key is exact: any parameter change produces a fresh
 design, identical parameters share one.  Cached arrays are marked
 read-only before they are handed out, so a stage can never corrupt a
 design another pipeline is using concurrently.  All operations are
-thread-safe — the batch executor shares one cache across workers.
+thread-safe, so pipelines on different threads may share one cache.
 
 A process-wide default instance is shared by every pipeline that does
 not bring its own (:func:`default_design_cache`).

@@ -10,22 +10,21 @@ a serial ``process_recording`` loop — every stage is a pure function
 of ``(signals, fs, config)``, so execution order cannot change a
 single sample.
 
-Two pool backends are available.  ``backend="thread"`` shares one
-design cache between workers and costs nothing to start, but the
-pure-python portions of the chain hold the GIL, so it mainly overlaps
-the numpy-released sections.  ``backend="process"`` fans out over a
-``ProcessPoolExecutor`` and buys real multi-core scaling.  The process
-backend is organised as a small work-queue: the item list is split
-into contiguous *job batches* (:func:`job_batches`), the shared
-callable — typically a ``partial`` closing over the pipeline config —
-is shipped **once per worker** through the pool initializer rather
-than re-pickled with every job, and each batch returns its results
-together with a snapshot of the worker's process-local cache counters.
+A fan-out has one of three shapes.  ``n_jobs=1`` runs the plain
+serial loop, which is also the oracle every other shape is pinned to.
+``n_jobs > 1`` fans out over a warm ``ProcessPoolExecutor`` and buys
+real multi-core scaling.  ``process_batch(..., backend="cohort")`` runs
+the single-process cohort-batched kernel tier instead.  The process
+pool is organised as a small work-queue: the item list is split into
+contiguous *job batches* (:func:`job_batches`), the shared callable —
+typically a ``partial`` closing over the pipeline config — is pickled
+once per fan-out and memoized per worker rather than re-pickled with
+every job, and each batch returns its results together with a snapshot
+of the worker's process-local cache counters.
 :func:`last_ipc_stats` reports what one fan-out actually shipped
 (checked by the executor tests), and
 :func:`process_worker_cache_stats` exposes the per-worker design/DSP
-cache rebuild counts that ``repro cache-stats --backend process``
-renders.
+cache rebuild counts that ``repro cache-stats --jobs 2`` renders.
 
 :func:`parallel_map` is the underlying ordered fan-out helper; the
 study runner uses it to parallelise synthesis + analysis jobs that do
@@ -43,7 +42,7 @@ import sys
 import time
 import traceback
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields, replace
 from functools import partial
@@ -81,8 +80,8 @@ __all__ = ["process_batch", "parallel_map", "resolve_n_jobs",
            "PoisonJob", "raise_if_poison", "POISON_ATTEMPTS",
            "RETRY_BACKOFF_S", "RETRY_BACKOFF_CAP_S"]
 
-#: Supported fan-out backends.
-BACKENDS = ("thread", "process")
+#: Supported fan-out backends: ``n_jobs > 1`` always means processes.
+BACKENDS = ("process",)
 
 #: Backends :func:`process_batch` accepts: the fan-out pair plus the
 #: single-process cohort-batched kernel tier (:mod:`repro.core.cohort`).
@@ -110,9 +109,9 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
 
 
 def resolve_backend(backend: Optional[str]) -> str:
-    """Normalise a backend request (``None`` means ``"thread"``)."""
+    """Normalise a backend request (``None`` means ``"process"``)."""
     if backend is None:
-        return "thread"
+        return "process"
     if backend not in BACKENDS:
         raise ConfigurationError(
             f"backend must be one of {BACKENDS}, got {backend!r}")
@@ -263,7 +262,7 @@ def process_worker_cache_stats() -> dict:
 
     Process workers keep process-local caches the parent cannot see;
     each job batch returns a snapshot, and the latest snapshot per
-    worker wins.  This is what ``repro cache-stats --backend process``
+    worker wins.  This is what ``repro cache-stats --jobs 2``
     reports (the per-worker ``misses`` are the rebuild counts).
     """
     return dict(_LAST_WORKER_CACHE_STATS)
@@ -271,22 +270,12 @@ def process_worker_cache_stats() -> dict:
 
 # -- the warm persistent pool --------------------------------------------
 
-#: Environment toggle for the persistent pool (default on): set to
-#: ``0``/``false``/``off`` to recreate a pool per fan-out (the
-#: pre-warm-pool behaviour, kept for debugging fork-state issues).
-PERSISTENT_POOL_ENV = "REPRO_PERSISTENT_POOL"
-
 #: The process-wide warm pool: ``[pool, n_workers]`` or ``None``.
 #: Reused across fan-outs so workers keep their design caches,
 #: pipeline memos and shared-callable memo warm — the second fan-out
 #: of a session pays zero fork/spawn latency.
 _PERSISTENT_POOL: list = [None]
 _POOL_COUNTERS = {"created": 0, "reused": 0}
-
-
-def _persistent_pool_enabled() -> bool:
-    value = os.environ.get(PERSISTENT_POOL_ENV, "1").strip().lower()
-    return value not in ("0", "false", "no", "off")
 
 
 def _acquire_persistent_pool(n_workers: int) -> ProcessPoolExecutor:
@@ -336,7 +325,7 @@ def persistent_pool_stats() -> dict:
     ``created``/``reused`` count fan-outs that built a fresh pool vs
     re-entered the warm one (process-wide, monotonic); ``n_workers``
     and ``pids`` describe the pool currently alive (``None``/empty
-    when none is).  ``repro cache-stats --backend process`` renders
+    when none is).  ``repro cache-stats --jobs 2`` renders
     these next to the per-worker cache counters.
     """
     entry = _PERSISTENT_POOL[0]
@@ -345,8 +334,7 @@ def persistent_pool_stats() -> dict:
     if entry is not None:
         n_workers = entry[1]
         pids = sorted(getattr(entry[0], "_processes", {}) or {})
-    return {"enabled": _persistent_pool_enabled(),
-            "created": _POOL_COUNTERS["created"],
+    return {"created": _POOL_COUNTERS["created"],
             "reused": _POOL_COUNTERS["reused"],
             "n_workers": n_workers,
             "pids": pids}
@@ -354,33 +342,19 @@ def persistent_pool_stats() -> dict:
 
 @contextlib.contextmanager
 def persistent_process_pool(n_workers: int):
-    """A process pool for direct submissions, warm when enabled.
+    """The warm process pool, for direct submissions.
 
     Yields the pool itself (``submit(fn, *args)``) — the streaming
     executor's finalize fan-out uses this so back-to-back ingest runs
     reuse one worker fleet.  Exiting the context does *not* tear the
-    warm pool down; with the pool disabled via
-    :data:`PERSISTENT_POOL_ENV`, an ephemeral pool is created and shut
-    down on exit instead.
+    warm pool down.
     """
-    if not _persistent_pool_enabled():
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            yield pool
-        return
     pool = _acquire_persistent_pool(n_workers)
     try:
         yield pool
     except BrokenProcessPool:
         _discard_persistent_pool(wait=False)
         raise
-
-
-def _submit_shared_batches(pool, header: tuple, payloads: list) -> list:
-    """Submit every pre-pickled batch; returns worker outputs in
-    submission order."""
-    futures = [pool.submit(_run_shared_batch, header, payload)
-               for payload in payloads]
-    return [future.result() for future in futures]
 
 
 # -- crash tolerance ------------------------------------------------------
@@ -548,8 +522,7 @@ def _parallel_map_process(fn: Callable, items: list, n_jobs: int,
     once and the unfinished jobs retried, a job that keeps killing
     workers comes back as a :class:`PoisonJob` in its result slot,
     and a second pool break degrades the remainder to serial
-    execution (see :func:`_run_batches_crash_tolerant`).  With the
-    persistent pool disabled the fan-out is single-shot, as before.
+    execution (see :func:`_run_batches_crash_tolerant`).
 
     ``data_plane_bytes``/``n_descriptors`` are accounting hints from a
     shared-memory caller: the array payload that bypassed the pipe.
@@ -561,19 +534,11 @@ def _parallel_map_process(fn: Callable, items: list, n_jobs: int,
     payloads = [pickle.dumps(batch) for batch in batches]
     payload_bytes = sum(len(payload) for payload in payloads)
     _LAST_WORKER_CACHE_STATS.clear()
-    if _persistent_pool_enabled():
-        item_results, all_stats = _run_batches_crash_tolerant(
-            fn, items, batches, header, payloads, n_workers)
-        results = [item_results[index] for index in range(len(items))]
-        for pid, stats in all_stats:
-            _LAST_WORKER_CACHE_STATS[pid] = stats
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outputs = _submit_shared_batches(pool, header, payloads)
-        results = []
-        for batch_results, (pid, stats) in outputs:
-            results.extend(batch_results)
-            _LAST_WORKER_CACHE_STATS[pid] = stats
+    item_results, all_stats = _run_batches_crash_tolerant(
+        fn, items, batches, header, payloads, n_workers)
+    results = [item_results[index] for index in range(len(items))]
+    for pid, stats in all_stats:
+        _LAST_WORKER_CACHE_STATS[pid] = stats
     _LAST_IPC_STATS[0] = IpcStats(
         n_items=len(items), n_submissions=len(batches),
         n_workers=n_workers, shared_fn_bytes=len(shared),
@@ -585,29 +550,26 @@ def _parallel_map_process(fn: Callable, items: list, n_jobs: int,
 
 
 def parallel_map(fn: Callable, items: Sequence,
-                 n_jobs: Optional[int] = 1,
-                 backend: Optional[str] = "thread") -> list:
-    """``[fn(item) for item in items]``, optionally over a worker pool.
+                 n_jobs: Optional[int] = 1) -> list:
+    """``[fn(item) for item in items]``, optionally over the warm
+    process pool.
 
     Output order always matches input order; exceptions propagate to
-    the caller exactly as in the serial loop.  ``backend="process"``
-    fans out over a ``ProcessPoolExecutor`` — ``fn``, the items and
-    the results must then be picklable (module-level functions or
+    the caller exactly as in the serial loop.  ``n_jobs=1`` (or a
+    single item) runs that serial loop; ``n_jobs > 1`` fans out over
+    the warm ``ProcessPoolExecutor`` — ``fn``, the items and the
+    results must then be picklable (module-level functions or
     :func:`functools.partial` over one, not lambdas or closures).  The
-    process backend ships ``fn`` once per worker via the pool
-    initializer and submits contiguous job batches, so a shared config
-    closed over by a ``partial`` is pickled ``n_workers`` times per
-    fan-out instead of once per item (see :func:`last_ipc_stats`).
+    fan-out submits contiguous job batches and pickles ``fn`` once,
+    shipping that pickle with each batch, so a shared config closed
+    over by a ``partial`` crosses the pipe once per batch instead of
+    once per item (see :func:`last_ipc_stats`).
     """
     items = list(items)
     n_jobs = resolve_n_jobs(n_jobs)
-    backend = resolve_backend(backend)
     if not will_parallelize(n_jobs, len(items)):
         return [fn(item) for item in items]
-    if backend == "process":
-        return _parallel_map_process(fn, items, n_jobs)
-    with ThreadPoolExecutor(max_workers=min(n_jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
+    return _parallel_map_process(fn, items, n_jobs)
 
 
 def process_recording_job(recording,
@@ -782,7 +744,7 @@ def _process_batch_shm(recordings, config, n_jobs: int) -> list:
 def process_batch(recordings, config: Optional[PipelineConfig] = None,
                   n_jobs: Optional[int] = 1,
                   cache: Optional[FilterDesignCache] = None,
-                  backend: Optional[str] = "thread") -> list:
+                  backend: Optional[str] = "process") -> list:
     """Run the full pipeline over many recordings.
 
     Parameters
@@ -794,18 +756,17 @@ def process_batch(recordings, config: Optional[PipelineConfig] = None,
     config:
         Shared stage configuration (paper defaults when omitted).
     n_jobs:
-        Worker count; ``1`` runs serially, ``-1``/``None`` uses one
-        per CPU.
+        Worker count; ``1`` runs the serial loop, ``-1``/``None`` uses
+        one process per CPU.
     cache:
-        Filter-design cache shared by every worker; the process-wide
-        default when omitted.  Only meaningful for the thread backend
-        — process workers cannot share a lock-protected cache and use
-        their own process-local default instead.
+        Filter-design cache of the serial loop and the cohort tier;
+        the process-wide default when omitted.  Process workers cannot
+        share a lock-protected cache and use their own process-local
+        default instead.
     backend:
-        ``"thread"`` (default), ``"process"`` or ``"cohort"``.
-        Threads share one design cache but serialise the GIL-bound
-        stages; processes scale with cores.  The process backend runs
-        the zero-copy data plane: recordings are published into one
+        ``"process"`` (default) or ``"cohort"``.  With ``n_jobs > 1``
+        the process backend fans out over the warm process pool and
+        runs the zero-copy data plane: recordings are published into one
         shared-memory arena, jobs ship ``(block, shape, dtype,
         offset)`` descriptors (the shared callable travels with each
         batch and is memoized per worker), workers write their
@@ -829,20 +790,17 @@ def process_batch(recordings, config: Optional[PipelineConfig] = None,
     if backend == "cohort":
         from repro.core.cohort import process_cohort
         return process_cohort(recordings, config, cache=cache)
-    backend = resolve_backend(backend)
-    if backend == "process" and will_parallelize(n_jobs, len(recordings)):
+    resolve_backend(backend)
+    if will_parallelize(n_jobs, len(recordings)):
         return _process_batch_shm(recordings, config,
                                   resolve_n_jobs(n_jobs))
     if cache is None:
         cache = default_design_cache()
-    # Build pipelines up front (serially) so workers share ready-made,
-    # cache-backed instances instead of racing to construct them.
+    # One cache-backed pipeline per distinct rate.
     pipelines: dict = {}
     for recording in recordings:
         fs = float(recording.fs)
         if fs not in pipelines:
             pipelines[fs] = BeatToBeatPipeline(fs, config, cache=cache)
-    return parallel_map(
-        lambda recording: pipelines[float(recording.fs)]
-        .process_recording(recording),
-        recordings, n_jobs=n_jobs)
+    return [pipelines[float(recording.fs)].process_recording(recording)
+            for recording in recordings]

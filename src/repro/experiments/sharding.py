@@ -85,8 +85,7 @@ class StudyShard:
 def run_study_shard(cohort=None, config: Optional[ProtocolConfig] = None,
                     n_shards: int = 1, shard_index: int = 0,
                     verbose: bool = False, n_jobs: Optional[int] = 1,
-                    cache: Optional[FilterDesignCache] = None,
-                    backend: Optional[str] = "thread") -> StudyShard:
+                    cache: Optional[FilterDesignCache] = None) -> StudyShard:
     """Execute one shard of the protocol.
 
     The job list, its order and its round-robin partition depend only
@@ -103,8 +102,7 @@ def run_study_shard(cohort=None, config: Optional[ProtocolConfig] = None,
                        n_jobs_total=len(jobs))
     selected = partition_jobs(jobs, n_shards, shard_index)
     for store, key, analysis in execute_study_jobs(
-            selected, verbose=verbose, n_jobs=n_jobs, cache=cache,
-            backend=backend):
+            selected, verbose=verbose, n_jobs=n_jobs, cache=cache):
         getattr(shard, store)[key] = analysis
     return shard
 

@@ -34,7 +34,6 @@ from repro.core.cache import FilterDesignCache, default_design_cache
 from repro.core.context import BeatContext
 from repro.core.executor import (
     parallel_map,
-    resolve_backend,
     resolve_shm_result,
     will_parallelize,
 )
@@ -252,7 +251,7 @@ class StudyResult:
 def _run_study_job(job, cache: Optional[FilterDesignCache] = None,
                    verbose: bool = False):
     """One protocol job: synthesize a recording, run the detection
-    chain, summarise.  Module-level so the process backend can pickle
+    chain, summarise.  Module-level so the process pool can pickle
     it (``cache=None`` makes each worker use its process-local default
     design cache)."""
     store, key, subject, setup, position, synth = job
@@ -266,7 +265,7 @@ def _run_study_job(job, cache: Optional[FilterDesignCache] = None,
 
 
 def _run_study_job_shm(item, verbose: bool = False):
-    """Process-backend study job with its ensemble waveform routed
+    """Process-pool study job with its ensemble waveform routed
     through the shared-memory result plane.
 
     ``item`` is ``(job, slot)`` where ``slot`` is a pre-reserved
@@ -314,29 +313,23 @@ def study_jobs(cohort, config: ProtocolConfig) -> list:
 
 def execute_study_jobs(jobs, verbose: bool = False,
                        n_jobs: Optional[int] = 1,
-                       cache: Optional[FilterDesignCache] = None,
-                       backend: Optional[str] = "thread") -> list:
+                       cache: Optional[FilterDesignCache] = None) -> list:
     """Run protocol jobs through the batch executor.
 
     Returns ``(store, key, analysis)`` triples in job order.  Each job
     is a pure function of its tuple (synthesis is seeded per
     subject/setup/position/frequency), so the output is identical
-    however the jobs are partitioned or fanned out.
+    however the jobs are partitioned or fanned out.  ``n_jobs=1`` runs
+    the jobs serially on the design ``cache`` (the process-wide
+    default when omitted); ``n_jobs > 1`` fans them out over the warm
+    process pool, whose workers each use their process-local default
+    cache.
     """
-    backend = resolve_backend(backend)
     jobs = list(jobs)
-    if cache is None:
-        cache = default_design_cache()
-    # The design cache holds a lock and cannot cross process
-    # boundaries; when processes will actually fork (parallel_map runs
-    # serially for one worker or one job), workers fall back to their
-    # own process-local default instead.
-    will_fork = (backend == "process"
-                 and will_parallelize(n_jobs, len(jobs)))
-    if not will_fork:
-        run_job = partial(_run_study_job, cache=cache, verbose=verbose)
-        return parallel_map(run_job, jobs, n_jobs=n_jobs,
-                            backend=backend)
+    if not will_parallelize(n_jobs, len(jobs)):
+        if cache is None:
+            cache = default_design_cache()
+        return [_run_study_job(job, cache, verbose) for job in jobs]
     # Forked path: synthesis happens in-worker (jobs are tiny tuples),
     # and the one array-sized result field — the ensemble waveform —
     # comes home through a shared-memory result arena instead of the
@@ -351,14 +344,13 @@ def execute_study_jobs(jobs, verbose: bool = False,
         # No shared memory available (e.g. a /dev/shm cap): degrade to
         # the pickle plane — slower, never wrong.
         run_job = partial(_run_study_job, cache=None, verbose=verbose)
-        return parallel_map(run_job, jobs, n_jobs=n_jobs,
-                            backend=backend)
+        return parallel_map(run_job, jobs, n_jobs=n_jobs)
     try:
         items = [(job, arena.reserve((n_phase,), np.float64))
                  for job in jobs]
         triples = parallel_map(
             partial(_run_study_job_shm, verbose=verbose), items,
-            n_jobs=n_jobs, backend=backend)
+            n_jobs=n_jobs)
         return [(store, key, resolve_shm_result(analysis, arena))
                 for store, key, analysis in triples]
     finally:
@@ -367,16 +359,14 @@ def execute_study_jobs(jobs, verbose: bool = False,
 
 def run_study(cohort=None, config: Optional[ProtocolConfig] = None,
               verbose: bool = False, n_jobs: Optional[int] = 1,
-              cache: Optional[FilterDesignCache] = None,
-              backend: Optional[str] = "thread") -> StudyResult:
+              cache: Optional[FilterDesignCache] = None) -> StudyResult:
     """Simulate and analyse the complete protocol.
 
     Every recording is deterministic (seeded per subject/setup/
     position/frequency), so repeated runs produce identical tables —
     including with ``n_jobs > 1``, which fans the per-recording
-    synthesis + analysis jobs out over the batch executor
-    (``backend="thread"`` or ``"process"``, as in
-    :func:`repro.core.executor.parallel_map`).  Thread workers share
+    synthesis + analysis jobs out over the warm process pool (as in
+    :func:`repro.core.executor.parallel_map`).  The serial run shares
     one filter-design ``cache`` (the process-wide default when
     omitted), so the whole protocol designs each filter once; process
     workers each keep a process-local cache — designs are paid once
@@ -392,7 +382,6 @@ def run_study(cohort=None, config: Optional[ProtocolConfig] = None,
                          subject_ids=[s.subject_id for s in cohort])
     jobs = study_jobs(cohort, config)
     for store, key, analysis in execute_study_jobs(
-            jobs, verbose=verbose, n_jobs=n_jobs, cache=cache,
-            backend=backend):
+            jobs, verbose=verbose, n_jobs=n_jobs, cache=cache):
         getattr(result, store)[key] = analysis
     return result

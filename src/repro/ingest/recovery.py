@@ -125,7 +125,7 @@ class RecoveryManager:
     stage configuration sessions were (and will be) analysed under —
     recovery must run the identical configuration to reproduce the
     interrupted run's bits — and ``cache`` the filter-design cache for
-    cohort- and thread-backend finalization.
+    cohort-tier and inline finalization.
     """
 
     def __init__(self, directory,
@@ -271,12 +271,12 @@ class RecoveryManager:
         ``start_sample`` contiguity checks run on every chunk, open
         sessions' included), then all of them finalize in one
         :func:`~repro.core.executor.process_batch` call.
-        ``finalize_backend`` is any batch backend (``"cohort"``,
-        ``"thread"``, ``"process"``); ``n_workers`` is its ``n_jobs``
-        and has no effect on ``"cohort"``.  Every backend is pinned
-        bit-identical to per-recording ``process_recording``, the
-        finalize live ingest runs, so results match the interrupted
-        run.  If the batch raises a :class:`~repro.errors.ReproError`,
+        ``finalize_backend`` is ``"cohort"`` (default) or
+        ``"process"``; ``n_workers`` is the latter's ``n_jobs`` (``1``
+        runs the serial loop) and has no effect on ``"cohort"``.
+        Every backend is pinned bit-identical to per-recording
+        ``process_recording``, the finalize live ingest runs, so
+        results match the interrupted run.  If the batch raises a :class:`~repro.errors.ReproError`,
         each session is finalized alone instead and the ones the
         pipeline rejects are reported in ``rejected``; every other
         session still recovers.
@@ -325,7 +325,6 @@ class RecoveryManager:
         )
 
     def resume(self, source, n_workers: int = 1,
-               finalize_backend: str = "thread",
                preview: bool = False,
                max_chunks: Optional[int] = 64,
                segment_records: Optional[int] = None) -> RecoveryResult:
@@ -363,7 +362,7 @@ class RecoveryManager:
         try:
             executor = StreamingExecutor(
                 config=self.config, n_workers=n_workers,
-                finalize_backend=finalize_backend, max_chunks=max_chunks,
+                max_chunks=max_chunks,
                 preview=preview, cache=self.cache, journal=journal,
                 allow_open=True)
             results = executor.run(stream())

@@ -10,11 +10,12 @@ Work flows producer -> queue -> drain loop -> finalize pool:
   :class:`CausalIcgConditioner` (the live per-chunk view a device UI
   would show) and folds the chunk into a
   :class:`~repro.ingest.chunks.SessionAssembler`;
-* when a session's trailer lands, the assembled recording is submitted
-  to a finalize pool that runs the *offline* stage graph — the same
-  code path as :func:`repro.core.executor.process_batch` — so the
-  streaming result for a recording is bit-identical to the batch
-  result for that recording.
+* when a session's trailer lands, the assembled recording is
+  finalized — inline in the drain loop, or on the warm process pool —
+  by the *offline* stage graph, the same code path as
+  :func:`repro.core.executor.process_batch`, so the streaming result
+  for a recording is bit-identical to the batch result for that
+  recording.
 
 The per-chunk conditioner is the vectorized form of the causal
 :mod:`repro.rt` kernels: state (filter ``zi``, previous sample) is
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -45,7 +45,6 @@ from repro.core.executor import (
     process_recording_job,
     process_shm_job,
     recording_job_nbytes,
-    resolve_backend,
     resolve_shm_result,
 )
 from repro.core.pipeline import BeatToBeatPipeline, PipelineResult
@@ -125,9 +124,9 @@ class SessionResult:
 class _InlineResult:
     """Future-alike for synchronously finalized sessions.
 
-    With one thread worker a pool only adds context switching, so the
-    drain loop finalizes in place (the queue's backpressure holds the
-    producer meanwhile) and wraps the outcome in this resolved future.
+    With one finalize worker the drain loop finalizes in place (the
+    queue's backpressure holds the producer meanwhile) and wraps the
+    outcome in this resolved future.
     """
 
     def __init__(self, fn, *args) -> None:
@@ -153,65 +152,51 @@ class FinalizeDispatcher:
     which front-end consumed its chunks — the invariant the recovery
     and soak property tests rest on.
 
-    ``backend`` follows :func:`repro.core.executor.process_batch`:
-    ``"thread"`` workers share the dispatcher's design ``cache``
-    through a per-rate pipeline memo; ``"process"`` ships the
+    One finalize worker finalizes inline, on a per-rate pipeline memo
+    over the dispatcher's design ``cache``; more than one ships each
     recording through the shared-memory descriptor plane into the warm
-    persistent pool (degrading to the pickle plane when the host
-    cannot grow shared memory).
+    persistent process pool (degrading to the pickle plane when the
+    host cannot grow shared memory) — the two shapes of
+    :func:`repro.core.executor.process_batch`.
     """
 
     def __init__(self, config: Optional[PipelineConfig] = None,
-                 backend: str = "thread",
                  cache: Optional[FilterDesignCache] = None) -> None:
         self.config = config
-        self.backend = resolve_backend(backend)
         self.cache = cache if cache is not None else default_design_cache()
         self._pipelines: dict = {}
 
     def pool_context(self, n_workers: int):
-        """The finalize pool this dispatcher's backend wants:
-        the warm persistent process pool, a thread pool, or ``None``
-        (inline finalize) for a single thread worker."""
-        if self.backend == "process":
-            # Finalize jobs go through the warm persistent pool, so
-            # back-to-back ingest runs reuse one worker fleet.
-            return persistent_process_pool(n_workers)
+        """The finalize pool for ``n_workers``: ``None`` (inline
+        finalize) for one, else the warm persistent process pool, so
+        back-to-back ingest runs reuse one worker fleet."""
         if n_workers == 1:
-            # One thread worker buys nothing over finalizing in the
-            # drain loop itself — skip the pool and its switching.
             return nullcontext(None)
-        return ThreadPoolExecutor(max_workers=n_workers)
+        return persistent_process_pool(n_workers)
 
     def submit(self, pool, recording: Recording):
         """Submit one assembled session; returns ``(future, arena)``
         (``arena`` is ``None`` off the shared-memory path)."""
-        if self.backend == "process":
-            # Zero-copy hand-off: the session's arrays land in a
-            # per-session shared-memory arena and the worker receives
-            # descriptors — the same data plane as process_batch.  If
-            # the host cannot provide the arena (/dev/shm cap), this
-            # session degrades to the pickle plane: slower, never
-            # wrong.
-            try:
-                arena = ShmArena(recording_job_nbytes(recording))
-            except OSError:
-                return pool.submit(process_recording_job, recording,
-                                   self.config), None
-            try:
-                job = plan_recording_job(recording, arena)
-                return pool.submit(process_shm_job, job,
-                                   self.config), arena
-            except Exception:
-                arena.release()
-                raise
-        # Thread workers share the executor's design cache through a
-        # per-rate pipeline memo (mirrors process_batch's warm path).
-        pipeline = self._pipeline(recording.fs)
-        if pool is None:                  # single-worker inline path
-            return _InlineResult(pipeline.process_recording,
-                                 recording), None
-        return pool.submit(pipeline.process_recording, recording), None
+        if pool is None:
+            return _InlineResult(
+                self._pipeline(recording.fs).process_recording,
+                recording), None
+        # Zero-copy hand-off: the session's arrays land in a
+        # per-session shared-memory arena and the worker receives
+        # descriptors — the same data plane as process_batch.  If the
+        # host cannot provide the arena (/dev/shm cap), this session
+        # degrades to the pickle plane: slower, never wrong.
+        try:
+            arena = ShmArena(recording_job_nbytes(recording))
+        except OSError:
+            return pool.submit(process_recording_job, recording,
+                               self.config), None
+        try:
+            job = plan_recording_job(recording, arena)
+            return pool.submit(process_shm_job, job, self.config), arena
+        except Exception:
+            arena.release()
+            raise
 
     def _pipeline(self, fs: float) -> BeatToBeatPipeline:
         fs = float(fs)
@@ -263,12 +248,11 @@ class StreamingExecutor:
         Stage configuration shared by every session (paper defaults
         when omitted).
     n_workers:
-        Finalize-pool width: how many completed sessions may run the
-        offline chain concurrently while further chunks stream in.
-    finalize_backend:
-        ``"thread"`` (default; shares the design ``cache``) or
-        ``"process"`` (multi-core finalize, process-local caches) —
-        the same trade-off as :func:`repro.core.executor.process_batch`.
+        Finalize width.  ``1`` (default) finalizes each completed
+        session inline in the drain loop, sharing the design
+        ``cache``; more than one finalizes on the warm process pool
+        (process-local caches) while further chunks stream in — the
+        two shapes of :func:`repro.core.executor.process_batch`.
     max_chunks / max_bytes:
         Bounds of the ingest queue; the producer blocks when either is
         reached (backpressure), so peak buffered memory never exceeds
@@ -278,7 +262,7 @@ class StreamingExecutor:
         (the live view); disable to measure pure assemble+finalize
         throughput.
     cache:
-        Filter-design cache for preview conditioners and thread-backend
+        Filter-design cache for preview conditioners and inline
         finalization; the process-wide default when omitted.
     journal:
         A :class:`~repro.ingest.journal.ChunkJournal` to write every
@@ -303,8 +287,7 @@ class StreamingExecutor:
     """
 
     def __init__(self, config: Optional[PipelineConfig] = None,
-                 n_workers: int = 2,
-                 finalize_backend: str = "thread",
+                 n_workers: int = 1,
                  max_chunks: Optional[int] = 64,
                  max_bytes: Optional[int] = None,
                  preview: bool = True,
@@ -315,9 +298,7 @@ class StreamingExecutor:
             raise ConfigurationError("n_workers must be >= 1")
         self.config = config
         self.n_workers = int(n_workers)
-        self._dispatcher = FinalizeDispatcher(config, finalize_backend,
-                                              cache)
-        self.finalize_backend = self._dispatcher.backend
+        self._dispatcher = FinalizeDispatcher(config, cache)
         self.max_chunks = max_chunks
         self.max_bytes = max_bytes
         self.preview = bool(preview)

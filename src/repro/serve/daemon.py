@@ -103,9 +103,11 @@ class ServeDaemon:
         Stage configuration and filter-design cache, as everywhere
         else; recovery bit-identity requires serving the same
         configuration the interrupted run used.
-    n_workers / finalize_backend:
-        Finalize pool shape, exactly as
-        :class:`~repro.ingest.streaming.StreamingExecutor` takes them.
+    n_workers:
+        Finalize width, exactly as
+        :class:`~repro.ingest.streaming.StreamingExecutor` takes it:
+        ``1`` (default) finalizes inline in the drain loop, more than
+        one on the warm process pool.
     max_chunks / max_bytes:
         Ingest queue bounds; also the denominator of the overload
         ladder's pressure signal.
@@ -117,7 +119,9 @@ class ServeDaemon:
     deadline / retry:
         The :class:`~repro.serve.policies.DeadlinePolicy` and
         :class:`~repro.serve.policies.RetryPolicy`; defaults disable
-        deadlines and allow two attempts.
+        deadlines and allow two attempts.  A finalize timeout needs
+        ``n_workers > 1``: an inline finalize holds the drain loop, so
+        no deadline check can run until it returns.
     high_water / low_water:
         The ladder's hysteresis band, as fractions of queue capacity.
     gc_interval_s / archive_dir / archive_interval_s:
@@ -139,8 +143,7 @@ class ServeDaemon:
 
     def __init__(self, journal_dir,
                  config: Optional[PipelineConfig] = None,
-                 n_workers: int = 2,
-                 finalize_backend: str = "thread",
+                 n_workers: int = 1,
                  max_chunks: Optional[int] = 64,
                  max_bytes: Optional[int] = None,
                  durability: str = "strict",
@@ -164,15 +167,21 @@ class ServeDaemon:
         if archive_interval_s is not None and archive_dir is None:
             raise ConfigurationError(
                 "archive_interval_s needs archive_dir")
+        self.deadline = deadline or DeadlinePolicy()
+        self.n_workers = int(n_workers)
+        if (self.deadline.finalize_timeout_s is not None
+                and self.n_workers == 1):
+            raise ConfigurationError(
+                "a finalize timeout needs n_workers >= 2: an inline "
+                "finalize holds the drain loop, so its deadline could "
+                "only be checked after it returned")
         self.directory = Path(journal_dir)
         self.config = config
-        self.n_workers = int(n_workers)
         self.max_chunks = max_chunks
         self.max_bytes = max_bytes
         self.configured_durability = durability
         self.fsync = bool(fsync)
         self.segment_records = segment_records
-        self.deadline = deadline or DeadlinePolicy()
         self.retry = retry or RetryPolicy()
         self.gc_interval_s = gc_interval_s
         self.archive_dir = archive_dir
@@ -184,9 +193,7 @@ class ServeDaemon:
         self.supervisor = SessionSupervisor()
         self.ladder = DegradationLadder(high_water=high_water,
                                         low_water=low_water)
-        self._dispatcher = FinalizeDispatcher(config, finalize_backend,
-                                              cache)
-        self.finalize_backend = self._dispatcher.backend
+        self._dispatcher = FinalizeDispatcher(config, cache)
         self.cache = self._dispatcher.cache
 
         self.journal: Optional[ChunkJournal] = None
@@ -570,8 +577,8 @@ class ServeDaemon:
     def _reap_finalizes(self, pool) -> None:
         for sid in list(self._pending):
             future, arena, recording = self._pending[sid]
-            # _InlineResult (single thread worker) resolves eagerly
-            # and has no done(); treat it as always ready.
+            # _InlineResult (inline finalize) resolves eagerly and
+            # has no done(); treat it as always ready.
             if hasattr(future, "done") and not future.done():
                 continue
             record = self.supervisor.get(sid)

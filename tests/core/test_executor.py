@@ -95,9 +95,11 @@ def test_batch_handles_mixed_sampling_rates():
                                              include_powerline=False))
         for fs in (125.0, 250.0)
     ]
-    cache = FilterDesignCache()
-    results = process_batch(recordings, n_jobs=2, cache=cache)
+    results = process_batch(recordings, n_jobs=2)
     assert [r.fs for r in results] == [125.0, 250.0]
+    # The serial loop designs on the caller's cache.
+    cache = FilterDesignCache()
+    process_batch(recordings, cache=cache)
     assert len(cache) == 10   # one design set per sampling rate
 
 
@@ -116,18 +118,13 @@ def test_batch_propagates_processing_errors(batch_recordings):
                       cache=FilterDesignCache())
 
 
-def test_parallel_map_matches_serial_map():
-    items = list(range(20))
-    assert parallel_map(lambda v: v * v, items, n_jobs=4) == [
-        v * v for v in items]
+def _boom(value):
+    raise RuntimeError(f"job {value}")
 
 
 def test_parallel_map_propagates_exceptions():
-    def boom(v):
-        raise RuntimeError(f"job {v}")
-
     with pytest.raises(RuntimeError):
-        parallel_map(boom, [1, 2, 3], n_jobs=2)
+        parallel_map(_boom, [1, 2, 3], n_jobs=2)
 
 
 def test_batch_process_backend_identical_to_serial(batch_recordings):
@@ -166,15 +163,14 @@ def _square(value):
 
 def test_parallel_map_process_backend():
     items = list(range(12))
-    assert parallel_map(_square, items, n_jobs=2,
-                        backend="process") == [v * v for v in items]
+    assert parallel_map(_square, items, n_jobs=2) == [
+        v * v for v in items]
 
 
 def test_resolve_backend():
-    assert resolve_backend(None) == "thread"
-    assert resolve_backend("thread") == "thread"
+    assert resolve_backend(None) == "process"
     assert resolve_backend("process") == "process"
-    for bad in ("fork", "greenlet", 3):
+    for bad in ("thread", "fork", "greenlet", 3):
         with pytest.raises(ConfigurationError):
             resolve_backend(bad)
 
@@ -279,7 +275,7 @@ def test_process_backend_results_are_shared_views(batch_recordings):
 
 def test_process_backend_reports_worker_cache_stats(batch_recordings):
     """Each worker's process-local cache counters come home with its
-    job batches — the numbers `repro cache-stats --backend process`
+    job batches — the numbers `repro cache-stats --jobs 2`
     renders (misses = per-worker design rebuilds)."""
     process_batch(batch_recordings, n_jobs=2, backend="process")
     workers = process_worker_cache_stats()
@@ -293,23 +289,19 @@ def test_process_backend_reports_worker_cache_stats(batch_recordings):
 
 
 def test_study_parallel_matches_serial():
-    """run_study(n_jobs=2) reproduces the serial tables exactly,
-    whichever pool backend fans the jobs out."""
+    """run_study(n_jobs=2) reproduces the serial tables exactly on the
+    process pool."""
     from repro.experiments import ProtocolConfig, run_study
 
     config = ProtocolConfig().quick()
     cohort = default_cohort()[:2]
     serial = run_study(cohort=cohort, config=config, n_jobs=1,
                        cache=FilterDesignCache())
-    threaded = run_study(cohort=cohort, config=config, n_jobs=2,
-                         cache=FilterDesignCache())
-    forked = run_study(cohort=cohort, config=config, n_jobs=2,
-                       backend="process")
-    for study in (threaded, forked):
-        for position in config.positions:
-            assert (serial.correlation_table(position)
-                    == study.correlation_table(position))
-        assert serial.worst_case_error() == study.worst_case_error()
+    forked = run_study(cohort=cohort, config=config, n_jobs=2)
+    for position in config.positions:
+        assert (serial.correlation_table(position)
+                == forked.correlation_table(position))
+    assert serial.worst_case_error() == forked.worst_case_error()
 
 
 def test_process_backend_falls_back_when_shared_memory_unavailable(

@@ -5,9 +5,8 @@ hygiene, and the per-submission shipping protocol.
 call, paying worker spawn and per-worker cache warm-up every time.
 The executor now keeps one lazily-created pool warm across calls;
 these tests pin the observable contract: the *same worker PIDs* serve
-consecutive fan-outs, reuse/create counters are reported, the env kill
-switch restores ephemeral pools, and shutdown is explicit and
-idempotent.
+consecutive fan-outs, reuse/create counters are reported, and shutdown
+is explicit and idempotent.
 """
 
 import os
@@ -24,11 +23,7 @@ from repro.core import (
     process_batch,
     shutdown_persistent_pool,
 )
-from repro.core.executor import (
-    BACKENDS,
-    PERSISTENT_POOL_ENV,
-    process_worker_cache_stats,
-)
+from repro.core.executor import BACKENDS, process_worker_cache_stats
 from repro.synth import SynthesisConfig, default_cohort, synthesize_recording
 
 FS = 250.0
@@ -102,19 +97,6 @@ def test_width_change_recreates_the_pool(recordings):
     assert not (pids_wide & pids_wider)
 
 
-def test_env_kill_switch_restores_ephemeral_pools(recordings,
-                                                  monkeypatch):
-    monkeypatch.setenv(PERSISTENT_POOL_ENV, "0")
-    results = process_batch(recordings[:2], n_jobs=2, backend="process")
-    stats = persistent_pool_stats()
-    assert stats["enabled"] is False
-    assert stats["n_workers"] is None and stats["pids"] == []
-    serial = [BeatToBeatPipeline(r.fs, cache=FilterDesignCache())
-              .process_recording(r) for r in recordings[:2]]
-    for got, want in zip(results, serial):
-        assert np.array_equal(got.icg, want.icg)
-
-
 def test_shutdown_is_idempotent_and_clears_the_pool(recordings):
     process_batch(recordings[:2], n_jobs=2, backend="process")
     assert persistent_pool_stats()["pids"]
@@ -139,15 +121,6 @@ def test_persistent_process_pool_context_manager():
     with persistent_process_pool(2) as pool:
         assert pool.submit(_square, 7).result() == 49
     assert persistent_pool_stats()["reused"] >= before + 1
-
-
-def test_ephemeral_context_manager_when_disabled(monkeypatch):
-    """With the kill switch set, the context manager hands out a
-    self-contained pool and tears it down on exit."""
-    monkeypatch.setenv(PERSISTENT_POOL_ENV, "0")
-    with persistent_process_pool(2) as pool:
-        assert pool.submit(_square, 6).result() == 36
-    assert persistent_pool_stats()["pids"] == []
 
 
 def test_pool_survives_worker_death(recordings):

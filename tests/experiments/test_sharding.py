@@ -146,8 +146,7 @@ def test_every_shard_count_merges_identically(n_shards, serial_study):
 
 def test_parallel_shard_execution_matches(serial_study):
     shards = [run_study_shard(cohort=COHORT, config=CONFIG,
-                              n_shards=2, shard_index=i, n_jobs=2,
-                              backend="process")
+                              n_shards=2, shard_index=i, n_jobs=2)
               for i in range(2)]
     _assert_studies_identical(merge_shards(shards), serial_study)
 

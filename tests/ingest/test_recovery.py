@@ -175,7 +175,7 @@ def mixed_rate_journal(tmp_path_factory):
     return directory
 
 
-@pytest.mark.parametrize("backend", ["cohort", "thread", "process"])
+@pytest.mark.parametrize("backend", ["cohort", "process"])
 def test_batch_recover_equals_streaming_replay(mixed_rate_journal,
                                                backend):
     """recover() finalizes as one batch, yet every SessionResult —
@@ -209,7 +209,7 @@ def _flatline_chunks(session_id, fs=250.0, duration_s=8.0):
     return list(chunk_recording(recording, session_id, chunk_s=2.0))
 
 
-@pytest.mark.parametrize("backend", ["cohort", "thread"])
+@pytest.mark.parametrize("backend", ["cohort", "process"])
 def test_recover_reports_a_rejected_session_and_finalizes_the_rest(
         tmp_path, backend):
     """A flatline session among good ones is reported in ``rejected``;

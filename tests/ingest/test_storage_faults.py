@@ -305,8 +305,7 @@ def test_sigkilled_worker_yields_a_completed_fanout(_fresh_pool,
         # Whether the serial-degrade warning fires depends on how many
         # batches were still in flight at the break — a timing detail.
         warnings.simplefilter("ignore", RuntimeWarning)
-        results = parallel_map(kill_worker_job, items, n_jobs=2,
-                               backend="process")
+        results = parallel_map(kill_worker_job, items, n_jobs=2)
     assert len(results) == len(items)
     poison = results[kill_at]
     assert isinstance(poison, PoisonJob)
@@ -324,11 +323,9 @@ def test_poisoned_fanout_does_not_poison_the_next_one(_fresh_pool):
     items = ["a", KILL_SENTINEL, "b", "c"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        first = parallel_map(kill_worker_job, items, n_jobs=2,
-                             backend="process")
+        first = parallel_map(kill_worker_job, items, n_jobs=2)
     assert any(isinstance(r, PoisonJob) for r in first)
-    clean = parallel_map(kill_worker_job, ["x", "y", "z"], n_jobs=2,
-                         backend="process")
+    clean = parallel_map(kill_worker_job, ["x", "y", "z"], n_jobs=2)
     assert clean == [("ok", "x"), ("ok", "y"), ("ok", "z")]
 
 

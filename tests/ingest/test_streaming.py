@@ -51,8 +51,7 @@ def test_streaming_matches_offline_batch_bitwise(fleet, fleet_results):
 
 
 def test_streaming_process_finalize_matches_offline(fleet):
-    executor = StreamingExecutor(n_workers=2, max_chunks=16,
-                                 finalize_backend="process")
+    executor = StreamingExecutor(n_workers=2, max_chunks=16)
     results = executor.run(fleet)
     offline = process_batch([fleet.synthesize(d) for d in fleet.devices])
     for device, want in zip(fleet.devices, offline):

@@ -340,11 +340,6 @@ def test_streaming_hot_path_copies_nothing(tmp_path):
     assert stats.journal_records == n_chunks
 
 
-def test_executor_rejects_unknown_backend():
-    with pytest.raises(ConfigurationError):
-        StreamingExecutor(finalize_backend="pigeon")
-
-
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_streaming_is_bit_identical_across_workers_and_journals(data):

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.executor import shutdown_persistent_pool
 from repro.core.pipeline import BeatToBeatPipeline
 from repro.errors import ConfigurationError, ReproError
 from repro.io import Recording
@@ -59,10 +60,13 @@ def _flat_chunks(session_id="flat-000", chunk_s=1.0):
 # -- the service path is the batch path ------------------------------------
 
 
-def test_results_bit_identical_to_streaming_executor(tmp_path):
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_results_bit_identical_to_streaming_executor(tmp_path, n_workers):
+    """Both finalize shapes — inline and the warm process pool — give
+    the streaming executor's bits."""
     reference = StreamingExecutor(n_workers=1,
                                   preview=False).run(DeviceFleet(FLEET))
-    daemon = ServeDaemon(tmp_path, n_workers=1, health=False)
+    daemon = ServeDaemon(tmp_path, n_workers=n_workers, health=False)
     results = daemon.run_once(DeviceFleet(FLEET))
     _assert_sessions_identical(results, reference)
     assert daemon.supervisor.all_terminal
@@ -318,15 +322,17 @@ def test_closed_queue_waits_on_finalizes_instead_of_spinning(
     chunks = list(DeviceFleet(FleetConfig(n_devices=1, duration_s=4.0,
                                           chunk_s=2.0, seed=5)))
     process = BeatToBeatPipeline.process_recording
-    finalize_s = []
+    timings = tmp_path / "finalize_s.txt"
 
     def slow_process(pipeline, recording):
+        # Runs in a pool worker: the duration comes home in a file.
         start = time.monotonic()
         time.sleep(0.5)
         try:
             return process(pipeline, recording)
         finally:
-            finalize_s.append(time.monotonic() - start)
+            with open(timings, "a") as out:
+                out.write(f"{time.monotonic() - start}\n")
 
     drain = BoundedWorkQueue.drain
     drains = [0]
@@ -338,11 +344,31 @@ def test_closed_queue_waits_on_finalizes_instead_of_spinning(
     monkeypatch.setattr(BeatToBeatPipeline, "process_recording",
                         slow_process)
     monkeypatch.setattr(BoundedWorkQueue, "drain", counting_drain)
-    daemon = ServeDaemon(tmp_path, n_workers=2, health=False)
-    results = daemon.run_once(chunks)
+    # A fresh pool forks its workers from the patched process.
+    shutdown_persistent_pool()
+    try:
+        daemon = ServeDaemon(tmp_path / "journal", n_workers=2,
+                             health=False)
+        results = daemon.run_once(chunks)
+    finally:
+        shutdown_persistent_pool()
+    finalize_s = [float(line) for line in timings.read_text().split()]
     assert set(results) == {"device-000"}
     assert len(finalize_s) == 1
     assert drains[0] <= finalize_s[0] / daemon.poll_interval_s + 5
+
+
+def test_finalize_timeout_needs_a_process_pool(tmp_path):
+    """An inline finalize holds the drain loop, so its deadline could
+    only be checked after it returned — quarantining sessions whose
+    results were already computed.  The daemon refuses that shape."""
+    deadline = DeadlinePolicy(finalize_timeout_s=0.1)
+    with pytest.raises(ConfigurationError, match="n_workers >= 2"):
+        ServeDaemon(tmp_path, n_workers=1, health=False,
+                    deadline=deadline)
+    daemon = ServeDaemon(tmp_path, n_workers=2, health=False,
+                         deadline=deadline)
+    assert daemon.deadline.finalize_timeout_s == 0.1
 
 
 def test_serve_rejects_reentry_and_validates_config(tmp_path):

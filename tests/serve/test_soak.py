@@ -156,7 +156,7 @@ def test_stalled_device_in_the_fleet_does_not_block_the_rest(tmp_path):
 
 
 def test_poisoned_finalize_worker_then_restart_is_bit_identical(tmp_path):
-    """SIGKILL a warm finalize worker under the process backend.  The
+    """SIGKILL a warm finalize worker of the process pool.  The
     run either degrades in place (BrokenProcessPool -> parent rerun)
     or dies like any crash — either way a restart recovers the full
     reference results."""
@@ -176,8 +176,7 @@ def test_poisoned_finalize_worker_then_restart_is_bit_identical(tmp_path):
         assert pids, "warm pool has no workers to kill"
         os.kill(pids[0], signal.SIGKILL)
 
-        daemon = ServeDaemon(tmp_path, n_workers=2,
-                             finalize_backend="process", health=False)
+        daemon = ServeDaemon(tmp_path, n_workers=2, health=False)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             try:

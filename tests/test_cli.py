@@ -32,8 +32,7 @@ def test_cohort_batch_prints_payload_rows(capsys):
 
 
 def test_cohort_process_backend(capsys):
-    code = cli.main(["cohort", "--duration", "12", "--jobs", "2",
-                     "--backend", "process"])
+    code = cli.main(["cohort", "--duration", "12", "--jobs", "2"])
     out = capsys.readouterr().out
     assert code == 0
     for sid in range(1, 6):
@@ -41,8 +40,10 @@ def test_cohort_process_backend(capsys):
 
 
 def test_cohort_rejects_unknown_backend():
-    with pytest.raises(SystemExit):
-        cli.main(["cohort", "--backend", "greenlet"])
+    # --jobs alone picks the fan-out; no --backend value is accepted.
+    for backend in ("greenlet", "thread", "process"):
+        with pytest.raises(SystemExit):
+            cli.main(["cohort", "--backend", backend])
 
 
 def test_cache_stats_reports_hit_rates(capsys):
@@ -168,8 +169,7 @@ def test_recover_rejects_missing_journal(tmp_path, capsys):
 
 def test_ingest_process_finalize_backend(capsys):
     code = cli.main(["ingest", "--devices", "2", "--duration", "8",
-                     "--chunk", "2", "--jobs", "2", "--backend",
-                     "process"])
+                     "--chunk", "2", "--jobs", "2"])
     out = capsys.readouterr().out
     assert code == 0
     assert "device-001" in out
@@ -215,8 +215,7 @@ def test_merge_rejects_incomplete_shard_set(tmp_path, capsys):
 
 
 def test_cache_stats_process_backend_reports_workers(capsys):
-    code = cli.main(["cache-stats", "--duration", "8", "--backend",
-                     "process", "--jobs", "2"])
+    code = cli.main(["cache-stats", "--duration", "8", "--jobs", "2"])
     out = capsys.readouterr().out
     assert code == 0
     assert "Per-worker process-local caches" in out
@@ -307,8 +306,9 @@ def test_recover_reports_rejected_session_with_exit_code(tmp_path,
 
 
 def test_recover_json_sessions_match_across_backends(tmp_path, capsys):
-    """The default cohort backend reports exactly what the thread
-    backend does: same sessions, verdicts, chunk counts and payloads."""
+    """The default cohort backend reports exactly what the serial
+    process-backend loop does: same sessions, verdicts, chunk counts
+    and payloads."""
     import json
 
     journal = tmp_path / "journal"
@@ -319,14 +319,14 @@ def test_recover_json_sessions_match_across_backends(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     sessions = {}
-    for backend in ("cohort", "thread"):
+    for backend in ("cohort", "process"):
         code = cli.main(["recover", "--json", "--backend", backend,
                          str(journal)])
         assert code == 0
         sessions[backend] = json.loads(capsys.readouterr().out)["sessions"]
     verdicts = {s["verdict"] for s in sessions["cohort"].values()}
     assert verdicts == {"recovered", "open"}
-    assert sessions["cohort"] == sessions["thread"]
+    assert sessions["cohort"] == sessions["process"]
 
 
 def test_journal_gc_reclaims_and_reports(tmp_path, capsys):
@@ -428,9 +428,8 @@ def test_parser_help_lists_lifecycle_commands():
 
 def test_cache_stats_process_backend_reports_pool_reuse(capsys):
     """The command runs two fan-outs, so the warm pool must report at
-    least one reuse (unless the kill switch disabled it)."""
-    code = cli.main(["cache-stats", "--duration", "8", "--backend",
-                     "process", "--jobs", "2"])
+    least one reuse."""
+    code = cli.main(["cache-stats", "--duration", "8", "--jobs", "2"])
     out = capsys.readouterr().out
     assert code == 0
     assert "Warm process pool" in out
@@ -449,6 +448,17 @@ def test_serve_runs_a_fleet_to_done(tmp_path, capsys):
     assert "Serving 2 device(s)" in out
     assert "Sessions: 2 done, 0 still open (journaled), 0 quarantined" in out
     assert "Policies:" in out
+
+
+def test_serve_finalize_timeout_needs_jobs(tmp_path, capsys):
+    """An inline finalize (--jobs 1) cannot honour a finalize timeout:
+    the flag combination is a usage error."""
+    code = cli.main(["serve", "--journal", str(tmp_path),
+                     "--devices", "1", "--duration", "4",
+                     "--finalize-timeout", "1", "--no-health"])
+    assert code == 2
+    assert "finalize timeout needs n_workers >= 2" in \
+        capsys.readouterr().err
 
 
 def test_serve_status_round_trip(tmp_path, capsys):
